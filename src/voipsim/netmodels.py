@@ -8,7 +8,9 @@ delivery bookkeeping.  All times are integer microseconds.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
+from operator import attrgetter
 
 from .simcore import Simulator, SimError
 
@@ -68,14 +70,17 @@ class PathTracer:
 class _Contender:
     """Per-node DCF state: FIFO queue plus the backoff countdown for its head."""
 
-    __slots__ = ("node", "queue", "backoff", "cw", "retries")
+    __slots__ = ("rank", "queue", "backoff", "cw", "retries")
 
-    def __init__(self, node: str):
-        self.node = node
+    def __init__(self, rank: int):
+        self.rank = rank  # position in station order, the AP last
         self.queue: deque = deque()
         self.backoff: int | None = None  # remaining idle slots; None = not contending
         self.cw = 0
         self.retries = 0
+
+
+_by_rank = attrgetter("rank")
 
 
 class WifiCell:
@@ -92,8 +97,14 @@ class WifiCell:
                  sifs_us: int = 10, difs_us: int = 50,
                  cw_min: int = 31, cw_max: int = 1023, retry_limit: int = 7,
                  phy_mac_overhead_bytes: int = 58, queue_cap: int = 50):
+        if cw_min < 0:
+            raise ValueError("cw_min must be >= 0")
         if not cw_min < cw_max:
             raise ValueError("cw_min must be < cw_max")
+        if slot_us <= 0:
+            raise ValueError("slot_us must be > 0")
+        if queue_cap <= 0:
+            raise ValueError("queue_cap must be > 0")
         if retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
         self.sim = sim
@@ -111,12 +122,16 @@ class WifiCell:
         self.queue_cap = queue_cap
         self.fabric = None
         self._rng = sim.rng.stream(f"wifi-backoff:{name}")
-        self._order = self.stations + [self.ap_id]
-        self._contenders = {node: _Contender(node) for node in self._order}
+        self._contenders = {node: _Contender(rank)
+                            for rank, node in enumerate(self.stations + [self.ap_id])}
+        # contenders whose backoff is not None, kept in rank order so that
+        # collision redraws consume the random stream in station order
+        self._active: list[_Contender] = []
         self._busy_until = 0
         self._round_event: int | None = None
         self._round_t0 = 0
         self._ack_us = round(WIFI_ACK_BYTES * 8 * 1_000_000 / WIFI_ACK_RATE_BPS)
+        self._exchange: dict[int, int] = {}
 
     def bind(self, fabric: "Fabric") -> None:
         self.fabric = fabric
@@ -129,9 +144,12 @@ class WifiCell:
 
     def exchange_us(self, size_bytes: int) -> int:
         """Medium occupancy of one successful exchange: data + SIFS + ACK."""
-        data = round((size_bytes + self.phy_mac_overhead_bytes) * 8 * 1_000_000
-                     / self.data_rate_bps)
-        return data + self.sifs_us + self._ack_us
+        us = self._exchange.get(size_bytes)
+        if us is None:
+            data = round((size_bytes + self.phy_mac_overhead_bytes) * 8 * 1_000_000
+                         / self.data_rate_bps)
+            us = self._exchange[size_bytes] = data + self.sifs_us + self._ack_us
+        return us
 
     # -- DCF mechanics --------------------------------------------------
 
@@ -145,48 +163,50 @@ class WifiCell:
             c.cw = self.cw_min
             c.retries = 0
             c.backoff = self._rng.randint(0, c.cw)
-            self._join_round()
+            self._join_round(c)
 
-    def _active(self) -> list[_Contender]:
-        return [c for c in map(self._contenders.get, self._order) if c.backoff is not None]
-
-    def _join_round(self) -> None:
-        """A contender armed mid-round: fold elapsed slots into everyone's
-        counter, keep the slot phase, and recompute the next expiry."""
-        now = self.sim.now
-        if self._round_event is not None:
-            self.sim.cancel(self._round_event)
-            self._round_event = None
-            if now > self._round_t0:
-                elapsed = (now - self._round_t0) // self.slot_us
-                for c in self._active():
-                    if c.backoff >= elapsed:
-                        c.backoff -= elapsed
-                self._round_t0 += elapsed * self.slot_us
-            t0 = self._round_t0
-        else:
-            t0 = max(now, self._busy_until) + self.difs_us
-        self._arm_round(t0)
-
-    def _arm_round(self, t0: int) -> None:
-        active = self._active()
-        if not active:
-            self._round_event = None
+    def _join_round(self, newcomer: _Contender) -> None:
+        """A newly armed contender: with no round pending, start one after
+        DIFS; mid-round, fold elapsed slots into everyone's counter, keep the
+        slot phase, and recompute the next expiry."""
+        active = self._active
+        if self._round_event is None:
+            # no round pending means nobody else is contending
+            active.append(newcomer)
+            self._arm_round(max(self.sim.now, self._busy_until) + self.difs_us,
+                            newcomer.backoff)
             return
+        self.sim.cancel(self._round_event)
+        insort(active, newcomer, key=_by_rank)
+        t0 = self._round_t0
+        elapsed = (self.sim.now - t0) // self.slot_us
+        if elapsed > 0:
+            # deviation: a newcomer's fresh draw also loses the slots elapsed before it arrived
+            for c in active:
+                if c.backoff >= elapsed:
+                    c.backoff -= elapsed
+            t0 += elapsed * self.slot_us
+        self._arm_round(t0, min(c.backoff for c in active))
+
+    def _arm_round(self, t0: int, min_b: int) -> None:
         self._round_t0 = t0
-        min_b = min(c.backoff for c in active)
         fire_at = max(self.sim.now, t0 + min_b * self.slot_us)
         self._round_event = self.sim.schedule(fire_at, self._round_fire,
                                               target=self.name, kind="wifi-round")
 
     def _round_fire(self, _arg) -> None:
         self._round_event = None
-        active = self._active()
-        min_b = min(c.backoff for c in active)
-        winners = [c for c in active if c.backoff == min_b]
-        for c in active:
-            if c.backoff > min_b:
-                c.backoff -= min_b  # frozen residual carries to the next round
+        active = self._active
+        if len(active) == 1:
+            winners = [active[0]]  # a lone contender wins whatever its count
+        else:
+            min_b = min(c.backoff for c in active)
+            winners = []
+            for c in active:
+                if c.backoff == min_b:
+                    winners.append(c)
+                else:
+                    c.backoff -= min_b  # frozen residual carries to the next round
         now = self.sim.now
         if len(winners) == 1:
             w = winners[0]
@@ -196,7 +216,7 @@ class WifiCell:
                               target=self.name, kind="wifi-deliver")
             w.cw = self.cw_min
             w.retries = 0
-            w.backoff = self._rng.randint(0, w.cw) if w.queue else None
+            self._redraw(w)
         else:
             # simultaneous expiry: all transmit, none gets an ACK; the medium
             # stays busy for the longest exchange
@@ -209,11 +229,20 @@ class WifiCell:
                     self.fabric.segment_drop(env, DROP_COLLISION_RETRY)
                     c.cw = self.cw_min
                     c.retries = 0
-                    c.backoff = self._rng.randint(0, c.cw) if c.queue else None
                 else:
                     c.cw = min(2 * c.cw + 1, self.cw_max)
-                    c.backoff = self._rng.randint(0, c.cw)
-        self._arm_round(self._busy_until + self.difs_us)
+                self._redraw(c)
+        if active:
+            self._arm_round(self._busy_until + self.difs_us,
+                            min(c.backoff for c in active))
+
+    def _redraw(self, c: _Contender) -> None:
+        """Draw a backoff for c's next head frame, or retire c if it has none."""
+        if c.queue:
+            c.backoff = self._rng.randint(0, c.cw)
+        else:
+            c.backoff = None
+            self._active.remove(c)
 
 
 class _Bearer:

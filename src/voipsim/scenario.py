@@ -149,12 +149,16 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
             p = sub.wifi
             if p is None or sub.umts is not None:
                 fail(f"subnet {sub.name}: wifi subnet needs wifi parameters only")
+            if p.cw_min < 0:
+                fail(f"subnet {sub.name}: cw_min must be >= 0")
             if not p.cw_min < p.cw_max:
                 fail(f"subnet {sub.name}: cw_min must be < cw_max")
             if p.retry_limit < 1:
                 fail(f"subnet {sub.name}: retry_limit must be >= 1")
             if p.data_rate_bps <= 0:
                 fail(f"subnet {sub.name}: data_rate_bps must be > 0")
+            if p.slot_us <= 0:
+                fail(f"subnet {sub.name}: slot_us must be > 0")
         else:
             p = sub.umts
             if p is None or sub.wifi is not None:
@@ -168,6 +172,8 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
             if min(p.nodeb_rnc_delay_us, p.rnc_proc_delay_us, p.cn_delay_us,
                    p.air_interleave_delay_us) < 0:
                 fail(f"subnet {sub.name}: delays must be >= 0")
+        if p.queue_cap <= 0:
+            fail(f"subnet {sub.name}: queue_cap must be > 0")
     if spec.codec not in CODECS:
         fail(f"unknown codec {spec.codec!r} (have {', '.join(sorted(CODECS))})")
     if spec.run_length_us <= spec.warm_up_us:

@@ -62,6 +62,15 @@ def test_wifi_exchange_time_components():
     assert cell.exchange_us(200) == 188 + 10 + 112
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"cw_min": -5}, {"cw_min": 31, "cw_max": 31}, {"slot_us": 0}, {"queue_cap": 0},
+    {"retry_limit": 0},
+])
+def test_wifi_rejects_degenerate_parameters(kwargs):
+    with pytest.raises(ValueError):
+        wifi_fixture(**kwargs)
+
+
 def test_wifi_single_station_service_time():
     sim, fabric, cell = wifi_fixture(n_stations=1)
     probe = Probe()
@@ -126,6 +135,116 @@ def test_wifi_repeated_collisions_exhaust_retries():
     assert sorted(tag for tag, _r in probe.dropped) == ["x", "y"]
     assert all(r == DROP_COLLISION_RETRY for _t, r in probe.dropped)
     assert probe.delivered == []
+
+
+class _ScriptedRng:
+    """Backoff source replaying a fixed list of draws and logging each call."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.calls = []
+
+    def randint(self, a, b):
+        self.calls.append((a, b))
+        return self.draws.pop(0)
+
+
+def test_wifi_mid_round_join_folds_elapsed_slots():
+    sim, fabric, cell = wifi_fixture(n_stations=2)
+    cell._rng = _ScriptedRng([20, 15])
+    probe = Probe()
+    sim.schedule(0, _send_one(fabric, probe, "ws1", src="lan-ws1"), kind="feed")
+    sim.schedule(250, _send_one(fabric, probe, "ws2", src="lan-ws2"), kind="feed")
+    sim.run_until(seconds(1))
+    # ws1's round starts after DIFS at 50 us; at 250 us ten slots have
+    # elapsed, so ws1 resumes with 10 and ws2 (drawing 15) with 5; ws2 wins
+    # at 350 us, and ws1's residual 5 slots follow ws2's exchange and DIFS
+    assert probe.delivered == [("ws2", 660), ("ws1", 1120)]
+
+
+def test_wifi_collision_redraws_in_station_order():
+    sim, fabric, cell = wifi_fixture(n_stations=2)
+    # three equal first draws collide; the redraws then get 0, 1, 2 slots
+    rng = cell._rng = _ScriptedRng([3, 3, 3, 0, 1, 2])
+    probe = Probe()
+    # fed in reverse station order, all within the first DIFS
+    sim.schedule(0, _send_one(fabric, probe, "ap", src="proxy", dst="lan-ws1"), kind="feed")
+    sim.schedule(5, _send_one(fabric, probe, "ws2", src="lan-ws2"), kind="feed")
+    sim.schedule(10, _send_one(fabric, probe, "ws1", src="lan-ws1"), kind="feed")
+    sim.run_until(seconds(1))
+    assert rng.calls == [(0, 31)] * 3 + [(0, 63)] * 3
+    # redraws in station order with the AP last: ws1 got 0, ws2 1, the AP 2
+    assert probe.delivered == [("ws1", 780), ("ws2", 1160), ("ap", 1540)]
+
+
+class _CountingRng:
+    """Wraps a random stream and counts the backoff draws taken from it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return self.rng.randint(a, b)
+
+
+def bianchi_collision_probability(n, w=32, m=5):
+    """Bianchi's saturation fixed point (IEEE JSAC 18(3), 2000): the
+    per-attempt collision probability p among n contenders, where
+    tau = 2(1-2p) / ((1-2p)(W+1) + pW(1-(2p)^m)) and p = 1-(1-tau)^(n-1).
+    tau is taken with the factor (1-2p) divided out, which is finite at
+    p = 1/2; p - (1-(1-tau)^(n-1)) increases in p, so bisection finds it."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        p = (lo + hi) / 2
+        tau = 2 / (w + 1 + p * w * sum((2 * p) ** i for i in range(m)))
+        if p > 1 - (1 - tau) ** (n - 1):
+            hi = p
+        else:
+            lo = p
+    return (lo + hi) / 2
+
+
+def saturated_collision_probability(n, seed, run_s):
+    """Collided attempts over all attempts when n stations always have a
+    frame.  Every backoff draw ends in one attempt, except the n draws still
+    counting down at the end; every successful attempt is one delivery,
+    except at most one exchange still on the air."""
+    sim = Simulator(master_seed=seed)
+    cloud = IpCloud(sim, base_delay_us=0, jitter_half_width_us=0, loss_prob=0)
+    fabric = Fabric(sim, cloud)
+    stations = [f"lan-ws{i}" for i in range(1, n + 1)]
+    cell = WifiCell(sim, "lan", stations)
+    fabric.attach_cell(cell)
+    rng = cell._rng = _CountingRng(cell._rng)
+    delivered = 0
+
+    def send(src):
+        fabric.send(src, 200, src, "proxy", on_end, on_fail)
+
+    def on_end(src, _t):
+        nonlocal delivered
+        delivered += 1
+        send(src)
+
+    def on_fail(src, _reason):
+        send(src)
+
+    for ws in stations:
+        send(ws)  # two frames each: the queue never runs dry
+        send(ws)
+    sim.run_until(seconds(run_s))
+    attempts = rng.draws - n
+    return 1 - delivered / attempts
+
+
+@pytest.mark.parametrize("n, p_fixed_point", [(5, 0.178), (10, 0.290)])
+def test_wifi_saturation_matches_bianchi(n, p_fixed_point):
+    expected = bianchi_collision_probability(n)
+    assert expected == pytest.approx(p_fixed_point, abs=5e-4)
+    measured = saturated_collision_probability(n, seed=3, run_s=20)
+    assert measured == pytest.approx(expected, rel=0.05)
 
 
 def test_wifi_contention_widens_delay_spread():

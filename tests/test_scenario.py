@@ -195,6 +195,18 @@ def test_cw_ordering_enforced():
         parse_scenario_text(text, default_name="demo")
 
 
+@pytest.mark.parametrize("kind, key, message", [
+    ("wifi", "cw_min = -5", "cw_min must be >= 0"),
+    ("wifi", "slot_us = 0", "slot_us must be > 0"),
+    ("wifi", "queue_cap = 0", "queue_cap must be > 0"),
+    ("umts", "queue_cap = 0", "queue_cap must be > 0"),
+])
+def test_degenerate_access_parameters_rejected(kind, key, message):
+    text = MINIMAL.replace(f"kind = {kind}", f"kind = {kind}\n{key}")
+    with pytest.raises(ValidationError, match=message):
+        parse_scenario_text(text, default_name="demo")
+
+
 def test_duplicate_subnet_names_rejected():
     spec = ScenarioSpec(
         name="dup",
