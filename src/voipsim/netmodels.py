@@ -3,7 +3,10 @@
 Every packet (voice or signaling) travels an ordered list of path segments.
 Segment implementations never talk to each other; they hand completed or
 dropped envelopes back to the Fabric, which advances the path and does the
-delivery bookkeeping.  All times are integer microseconds.
+delivery bookkeeping.  A segment that only waits a constant time (the UMTS
+UTRAN/CN chain, a jitter-free lossless cloud) is carried by the Fabric
+itself, folded into one scheduled event with its neighbours.  All times are
+integer microseconds.
 """
 
 from __future__ import annotations
@@ -57,14 +60,6 @@ class PathTracer:
 
     def segments_for(self, pid: int) -> list[tuple]:
         return [r for r in self.rows if r[0] == pid]
-
-    def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.COLUMNS)
-            writer.writerows(self.rows)
 
 
 class _Contender:
@@ -211,9 +206,9 @@ class WifiCell:
         if len(winners) == 1:
             w = winners[0]
             env = w.queue.popleft()
-            self._busy_until = now + self.exchange_us(env.size_bytes)
-            self.sim.schedule(self._busy_until, self.fabric.segment_done, env,
-                              target=self.name, kind="wifi-deliver")
+            exchange = self.exchange_us(env.size_bytes)
+            self._busy_until = now + exchange
+            self.fabric.hold(env, exchange, "wifi-deliver")
             w.cw = self.cw_min
             w.retries = 0
             self._redraw(w)
@@ -259,8 +254,8 @@ class UmtsCell:
 
     One packet occupies one TTI per attempt; a failed attempt retransmits in
     the next TTI up to max_rlc_retx times, then the packet drops.  The fixed
-    chain (interleaving, Iub, RNC, CN) is collapsed into a single scheduled
-    step per direction; its components still sum in the segment trace.
+    chain (interleaving, Iub, RNC, CN) is one segment per direction that the
+    fabric carries as a fixed delay of pipe_us.
     """
 
     def __init__(self, sim: Simulator, name: str, ues: list[str], *,
@@ -300,26 +295,24 @@ class UmtsCell:
 
     def bind(self, fabric: "Fabric") -> None:
         self.fabric = fabric
+        fabric.fix(f"umts-utran-cn-up:{self.name}", self.pipe_us, "umts-pipe")
+        fabric.fix(f"umts-cn-utran-down:{self.name}", self.pipe_us, "umts-pipe")
 
     def up_segments(self, ue: str) -> list[tuple]:
         return [
             (f"umts-air-up:{self.name}", self._air_up, ue),
-            (f"umts-utran-cn-up:{self.name}", self._pipe, None),
+            (f"umts-utran-cn-up:{self.name}", None, None),
         ]
 
     def down_segments(self, ue: str) -> list[tuple]:
         return [
-            (f"umts-cn-utran-down:{self.name}", self._pipe, None),
+            (f"umts-cn-utran-down:{self.name}", None, None),
             (f"umts-air-down:{self.name}", self._air_down, ue),
         ]
 
     def next_tti_boundary(self, t: int) -> int:
         tti = self.tti_us
         return -(-t // tti) * tti
-
-    def _pipe(self, env: Envelope, _node) -> None:
-        self.sim.schedule_in(self.pipe_us, self.fabric.segment_done, env,
-                             target=self.name, kind="umts-pipe")
 
     def _air_up(self, env: Envelope, ue: str) -> None:
         self._air_enqueue(self._up[ue], env)
@@ -361,10 +354,14 @@ class UmtsCell:
 
 class IpCloud:
     """Wide-area segment: uniform delay around a base, independent loss,
-    no FIFO clamp (reordering allowed when the jitter width is nonzero)."""
+    no FIFO clamp (reordering allowed when the jitter width is nonzero).
+    With neither jitter nor loss it draws nothing, and the fabric carries it
+    as a fixed delay."""
 
     def __init__(self, sim: Simulator, *, base_delay_us: int = 30_000,
                  jitter_half_width_us: int = 5_000, loss_prob: float = 0.0):
+        if jitter_half_width_us < 0:
+            raise ValueError("jitter_half_width_us must be >= 0")
         if base_delay_us - jitter_half_width_us < 0:
             raise ValueError("delay range must not go negative")
         if not 0 <= loss_prob <= 1:
@@ -388,16 +385,29 @@ class IpCloud:
         hw = self.jitter_half_width_us
         if hw:
             delay += self._rng_jitter.randint(-hw, hw)
-        self.sim.schedule_in(delay, self.fabric.segment_done, env,
-                             target="cloud", kind="cloud-deliver")
+        self.fabric.hold(env, delay, "cloud-deliver")
 
 
 class Fabric:
     """Routes packets between workstations across cells and the cloud.
 
-    A path is a cached list of (label, transmit_fn, node) steps.  WiFi and
-    UMTS endpoints contribute their access legs; distinct subnets are always
-    joined by the cloud.  The proxy endpoint lives at the cloud edge.
+    A path is a cached list of steps (label, transmit_fn, node, fixed,
+    tail_us, next_hop).  WiFi and UMTS endpoints contribute their access
+    legs; distinct subnets are always joined by the cloud.  The proxy
+    endpoint lives at the cloud edge.
+
+    A segment whose label was declared with fix() is fixed: fixed is its
+    (delay_us, event kind), and the fabric never calls its transmit_fn.  A run
+    of consecutive fixed segments costs one scheduled event.  tail_us is the
+    delay of the fixed run right after a step and next_hop the step that
+    follows that run, so a segment that ends in a pure wait (hold) carries the
+    run too.  A segment that draws is never folded into the one before it, so
+    every random draw keeps its simulated instant and order.  A folded event
+    is queued when its run starts, not when its last segment starts, so at an
+    equal fire time it can sort before an event scheduled in between.  Only an
+    event scheduled further ahead than that last segment lasts can do so; the
+    access models schedule at most about 21 ms ahead, less than a pipe or the
+    cloud, so they keep the order of the unfolded chain.
     """
 
     PROXY = "proxy"
@@ -409,8 +419,16 @@ class Fabric:
         self.cells_by_ws: dict[str, object] = {}
         self.cells: list = []
         self._paths: dict[tuple, list] = {}
+        self._fixed: dict[str, tuple[int, str]] = {}
         self._next_pid = 0
         cloud.bind(self)
+        if cloud.jitter_half_width_us == 0 and cloud.loss_prob == 0:
+            self.fix("cloud", cloud.base_delay_us, "cloud-deliver")
+
+    def fix(self, label: str, delay_us: int, kind: str) -> None:
+        """Declare segment label a constant delay that draws nothing; kind
+        names the event that carries it."""
+        self._fixed[label] = (delay_us, kind)
 
     def attach_cell(self, cell) -> None:
         cell.bind(self)
@@ -434,21 +452,37 @@ class Fabric:
         if path is None:
             src_cell = self._endpoint_cell(src)
             dst_cell = self._endpoint_cell(dst)
-            path = []
+            segments = []
             if src_cell is not None and src_cell is dst_cell:
-                path += src_cell.up_segments(src) + src_cell.down_segments(dst)
+                segments += src_cell.up_segments(src) + src_cell.down_segments(dst)
             else:
                 if src_cell is not None:
-                    path += src_cell.up_segments(src)
-                path.append(("cloud", self.cloud.forward, None))
+                    segments += src_cell.up_segments(src)
+                segments.append(("cloud", self.cloud.forward, None))
                 if dst_cell is not None:
-                    path += dst_cell.down_segments(dst)
-            self._paths[key] = path
+                    segments += dst_cell.down_segments(dst)
+            path = self._paths[key] = self._compile(segments)
         return path
+
+    def _compile(self, segments: list[tuple]) -> list[tuple]:
+        steps = []
+        tail_us = 0
+        next_hop = len(segments)
+        for hop in range(len(segments) - 1, -1, -1):
+            label, fn, node = segments[hop]
+            fixed = self._fixed.get(label)
+            steps.append((label, fn, node, fixed, tail_us, next_hop))
+            if fixed is None:
+                tail_us = 0
+                next_hop = hop
+            else:
+                tail_us += fixed[0]
+        steps.reverse()
+        return steps
 
     def route(self, src: str, dst: str) -> list[str]:
         """Ordered segment labels a packet from src to dst will traverse."""
-        return [label for label, _fn, _node in self._path(src, dst)]
+        return [step[0] for step in self._path(src, dst)]
 
     def send(self, item, size_bytes: int, src: str, dst: str, on_end, on_fail) -> None:
         pid = self._next_pid
@@ -458,15 +492,40 @@ class Fabric:
 
     def _enter(self, env: Envelope) -> None:
         env.hop_ingress = self.sim.now
-        _label, fn, node = env.path[env.hop]
-        fn(env, node)
+        _label, fn, node, fixed, _tail_us, _next_hop = env.path[env.hop]
+        if fixed is None:
+            fn(env, node)
+        else:
+            self.hold(env, *fixed)
+
+    def hold(self, env: Envelope, delay_us: int, kind: str) -> None:
+        """End env's current segment after a pure wait of delay_us; the fixed
+        run that follows rides the same event of the given kind."""
+        self.sim.schedule_in(delay_us + env.path[env.hop][4], self._run_done, env,
+                             kind=kind)
+
+    def _run_done(self, env: Envelope) -> None:
+        """The current segment and the fixed run after it end now.  Their trace
+        rows are rebuilt by arithmetic from the fixed delays."""
+        label, _fn, _node, _fixed, tail_us, next_hop = env.path[env.hop]
+        if self.tracer is not None:
+            egress = self.sim.now - tail_us
+            self.tracer.add(env.pid, label, env.hop_ingress, egress, "")
+            for label, _fn, _node, fixed, _tail, _next in env.path[env.hop + 1:next_hop]:
+                self.tracer.add(env.pid, label, egress, egress + fixed[0], "")
+                egress += fixed[0]
+        self._resume(env, next_hop)
 
     def segment_done(self, env: Envelope) -> None:
+        """The current segment ended now, with no wait after it."""
         if self.tracer is not None:
             self.tracer.add(env.pid, env.path[env.hop][0], env.hop_ingress,
                             self.sim.now, "")
-        env.hop += 1
-        if env.hop == len(env.path):
+        self._resume(env, env.hop + 1)
+
+    def _resume(self, env: Envelope, hop: int) -> None:
+        env.hop = hop
+        if hop == len(env.path):
             env.on_end(env.item, self.sim.now)
         else:
             self._enter(env)

@@ -182,6 +182,8 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
         fail("bucket_width_s must be > 0")
     if spec.repetitions < 1:
         fail("repetitions must be >= 1")
+    if spec.cloud.jitter_half_width_us < 0:
+        fail("cloud jitter_half_width_ms must be >= 0")
     if spec.cloud.base_delay_us - spec.cloud.jitter_half_width_us < 0:
         fail("cloud delay range must not go negative")
     if not 0 <= spec.cloud.loss_prob <= 1:
@@ -190,6 +192,13 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
         fail("calls must reference the declared subnets")
     if spec.calls.inter_arrival_us <= 0 or spec.calls.duration_mean_us <= 0:
         fail("call means must be > 0")
+    if spec.calls.answer_delay_us < 0:
+        fail("answer_delay_s must be >= 0")
+    if spec.calls.invite_timeout_us <= 0:
+        fail("invite_timeout_s must be > 0")
+    if spec.calls.invite_timeout_us <= spec.calls.answer_delay_us:
+        # the timer would close every session before its 200 is sent
+        fail("invite_timeout_s must exceed answer_delay_s")
     return spec
 
 

@@ -215,6 +215,8 @@ class SessionLayer:
             session._answer_event = self.sim.schedule_in(
                 self.answer_delay_us, self._on_answer, session, kind="sip-answer")
         elif kind == RINGING_180:
+            if session.answered:
+                return  # provisional after the final response: discarded (RFC 3261)
             if session.state != INVITING:
                 self._violation(session)
                 return

@@ -146,21 +146,17 @@ class MediaStream:
     def mark_dropped(self, seq: int) -> None:
         self.recv[seq] = DROPPED
 
-    def pending_count(self) -> int:
-        return self.recv.count(PENDING)
-
 
 class VoicePacket:
     """A single voice frame in flight."""
 
-    __slots__ = ("stream", "seq", "size_bytes", "t_send", "pid")
+    __slots__ = ("stream", "seq", "size_bytes", "t_send")
 
     def __init__(self, stream: MediaStream, seq: int, t_send: int):
         self.stream = stream
         self.seq = seq
         self.size_bytes = stream.codec.packet_size_bytes
         self.t_send = t_send
-        self.pid = -1  # assigned by the fabric when tracing
 
     @property
     def src(self) -> str:
@@ -174,7 +170,7 @@ class VoicePacket:
 class Call:
     """One established call and its two media streams."""
 
-    __slots__ = ("call_id", "caller", "callee", "t_established", "duration", "state", "streams")
+    __slots__ = ("call_id", "caller", "callee", "t_established", "duration", "streams")
 
     def __init__(self, call_id: int, caller: str, callee: str,
                  t_established: int, duration: int, codec: CodecProfile):
@@ -183,7 +179,6 @@ class Call:
         self.callee = callee
         self.t_established = t_established
         self.duration = duration
-        self.state = "active"
         n = duration // codec.frame_interval_us
         self.streams = (
             MediaStream(call_id, DIR_FORWARD, caller, callee, codec, t_established, n),
@@ -271,27 +266,28 @@ class CallScheduler:
         self.calls.append(call)
         session.call = call
         self.sim.stats.calls_established += 1
-        for stream in call.streams:
-            if stream.n_packets > 0:
-                self.sim.schedule(stream.t0, self._emit, (stream, 0), kind="media-emit")
+        if call.streams[0].n_packets > 0:
+            # both directions share t0, frame interval and length, so one
+            # event per frame paces the pair
+            self.sim.schedule(call.t_established, self._emit, (call.streams, 0),
+                              kind="media-emit")
         self.sim.schedule(call.t_established + duration, self._end_call,
-                          (call, session), kind="call-end")
+                          session, kind="call-end")
 
     def _emit(self, arg) -> None:
-        stream, seq = arg
-        packet = VoicePacket(stream, seq, self.sim.now)
-        stream.recv.append(PENDING)
+        streams, seq = arg
+        if seq + 1 < streams[0].n_packets:
+            self.sim.schedule_in(self.codec.frame_interval_us, self._emit,
+                                 (streams, seq + 1), kind="media-emit")
         stats = self.sim.stats
-        stats.packets_generated += 1
-        stats.packets_in_flight += 1
-        if seq + 1 < stream.n_packets:
-            self.sim.schedule_in(stream.codec.frame_interval_us, self._emit,
-                                 (stream, seq + 1), kind="media-emit")
-        self.fabric.send_media(packet)
+        now = self.sim.now
+        for stream in streams:  # forward, then reverse
+            stream.recv.append(PENDING)
+            stats.packets_generated += 1
+            stats.packets_in_flight += 1
+            self.fabric.send_media(VoicePacket(stream, seq, now))
 
-    def _end_call(self, arg) -> None:
-        call, session = arg
-        call.state = "ended"
+    def _end_call(self, session) -> None:
         self.sim.stats.calls_completed += 1
         self.session_layer.teardown(session)
 

@@ -346,6 +346,78 @@ def test_umts_fifo_and_tti_spacing():
     assert [b - a for a, b in zip(times, times[1:])] == [millis(10)] * 4
 
 
+def umts_pair_fixture(tracer=None, *, up_bler, cloud_us=millis(30), seed=7):
+    """Two UMTS cells over a fixed cloud; the downlink cell never fails, and
+    its CN delay puts downlink arrivals off the TTI grid."""
+    sim = Simulator(master_seed=seed)
+    cloud = IpCloud(sim, base_delay_us=cloud_us, jitter_half_width_us=0, loss_prob=0.0)
+    fabric = Fabric(sim, cloud, tracer)
+    up = UmtsCell(sim, "a", ["a-ws1"], bler=up_bler, max_rlc_retx=2)
+    down = UmtsCell(sim, "b", ["b-ws1"], bler=0.0, cn_delay_us=25_300)
+    fabric.attach_cell(up)
+    fabric.attach_cell(down)
+    return sim, fabric, up, down
+
+
+def umts_oracle_delivery(t_send, k, up, cloud_us, down):
+    """TTI alignment + (k+1) TTIs + pipe + cloud + pipe + downlink air."""
+    t_air_up = up.next_tti_boundary(t_send) + (k + 1) * up.tti_us
+    t_down = t_air_up + up.pipe_us + cloud_us + down.pipe_us
+    return down.next_tti_boundary(t_down) + down.tti_us
+
+
+class _AttemptRng:
+    """BLER source failing the first k attempts, then succeeding."""
+
+    def __init__(self, k):
+        self.k = k
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return 0.0 if self.calls <= self.k else 0.99
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_umts_pair_delivery_matches_analytic_oracle(k):
+    sim, fabric, up, down = umts_pair_fixture(up_bler=0.5)
+    up._rng = _AttemptRng(k)
+    probe = Probe()
+    t_send = 3_000
+    sim.schedule(t_send, _send_one(fabric, probe, "p", src="a-ws1", dst="b-ws1"),
+                 kind="feed")
+    sim.run_until(seconds(2))
+    assert up._rng.calls == min(k + 1, up.max_rlc_retx + 1)
+    if k > up.max_rlc_retx:
+        assert probe.dropped == [("p", DROP_BLER_RETX)]
+        assert probe.delivered == []
+        return
+    assert probe.delivered == [("p", umts_oracle_delivery(t_send, k, up, millis(30), down))]
+    # feed + (k+1) uplink attempts + one event for pipe, cloud and pipe + downlink air
+    assert sim.stats.events_processed == 1 + (k + 1) + 1 + 1
+
+
+def test_umts_pair_loss_matches_bler_power():
+    bler, n = 0.3, 20_000
+    sim, fabric, up, down = umts_pair_fixture(up_bler=bler)
+    probe = Probe()
+    for i in range(n):
+        # one packet per 40 ms: each finishes its three TTIs before the next
+        sim.schedule(i * 40_000 + 3_000,
+                     _send_one(fabric, probe, i, src="a-ws1", dst="b-ws1"), kind="feed")
+    sim.run_until(seconds(n * 0.04 + 1))
+    assert len(probe.delivered) + len(probe.dropped) == n
+    assert all(reason == DROP_BLER_RETX for _i, reason in probe.dropped)
+    p = bler ** (up.max_rlc_retx + 1)
+    sigma = (p * (1 - p) / n) ** 0.5
+    assert abs(len(probe.dropped) / n - p) <= 4 * sigma
+    # every delivery is the oracle's time for some whole number of retries
+    oracle = {umts_oracle_delivery(3_000, k, up, millis(30), down) - 3_000: k
+              for k in range(up.max_rlc_retx + 1)}
+    for i, t_recv in probe.delivered:
+        assert t_recv - i * 40_000 - 3_000 in oracle
+
+
 # -- cloud -------------------------------------------------------------------
 
 
@@ -490,3 +562,21 @@ def test_segment_times_are_contiguous_and_ordered():
         rows = by_pid[tag]
         assert rows[-1][3] - rows[0][2] == t_recv - tag * 20_000
         assert sum(eg - ing for _, _, ing, eg, _ in rows) == t_recv - tag * 20_000
+
+
+def test_folded_umts_pair_keeps_one_trace_row_per_segment():
+    tracer = PathTracer()
+    sim, fabric, up, down = umts_pair_fixture(tracer, up_bler=0.0)
+    probe = Probe()
+    sim.schedule(3_000, _send_one(fabric, probe, "p", src="a-ws1", dst="b-ws1"),
+                 kind="feed")
+    sim.run_until(seconds(1))
+    [(_tag, t_recv)] = probe.delivered
+    rows = tracer.segments_for(0)
+    assert [r[1] for r in rows] == fabric.route("a-ws1", "b-ws1")
+    for (_, _, _, eg1, _), (_, _, ing2, _, _) in zip(rows, rows[1:]):
+        assert eg1 == ing2
+    assert rows[0][2] == 3_000 and rows[-1][3] == t_recv
+    assert sum(eg - ing for _, _, ing, eg, _ in rows) == t_recv - 3_000
+    assert [eg - ing for _, _, ing, eg, _ in rows[1:4]] == [
+        up.pipe_us, millis(30), down.pipe_us]

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import stat
 from dataclasses import replace
 
 import pytest
@@ -105,6 +107,18 @@ def test_optional_trace_and_session_log(tmp_path):
     manifest = json.loads(read_file(out.manifest_path))
     assert manifest["files"]["trace_csv"] == "wifi-wifi-seed7.trace.csv"
     assert manifest["files"]["session_log"] == "wifi-wifi-seed7.sessions.log"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_honour_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        out = run_scenario(short_spec(run_s=30, warm_s=5), out_dir=str(tmp_path),
+                           trace=True, session_log=True)
+    finally:
+        os.umask(old)
+    for path in (out.csv_path, out.manifest_path, out.trace_path, out.session_log_path):
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
 
 
 def test_repetitions_step_the_seed(tmp_path):

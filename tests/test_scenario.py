@@ -182,6 +182,20 @@ def test_validation_rules():
         validate(mutate(calls=CallSpec(0, 1, "hawaii", "florida")))
 
 
+@pytest.mark.parametrize("section, key, message", [
+    ("cloud", "jitter_half_width_ms = -5", "jitter_half_width_ms must be >= 0"),
+    ("calls", "answer_delay_s = -1", "answer_delay_s must be >= 0"),
+    ("calls", "invite_timeout_s = 0", "invite_timeout_s must be > 0"),
+    ("calls", "answer_delay_s = 40", "invite_timeout_s must exceed answer_delay_s"),
+])
+def test_inputs_that_used_to_fault_at_run_time_rejected(section, key, message):
+    # each of these passed validation and then raised inside a handler, or
+    # failed every call setup
+    text = f"{MINIMAL}\n[{section}]\n{key}\n"
+    with pytest.raises(ValidationError, match=message):
+        parse_scenario_text(text, default_name="demo")
+
+
 def test_bler_one_rejected_in_config():
     # a degenerate all-drop air link is a test hook, not a runnable scenario
     text = MINIMAL.replace("kind = umts", "kind = umts\nbler = 1.0")

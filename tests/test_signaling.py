@@ -3,11 +3,13 @@
 import pytest
 
 from voipsim.signaling import (
+    ACK,
     CLOSED,
     ESTABLISHED,
     INVITE,
     INVITING,
     RINGING,
+    RINGING_180,
     TERMINATING,
     CalleeBusy,
     CalleeUnregistered,
@@ -43,6 +45,17 @@ class BlackholeFabric:
 
     def send(self, item, size_bytes, src, dst, on_end, on_fail):
         self.sim.schedule_in(0, lambda _: on_fail(item, "cloud-loss"))
+
+
+class ScriptedFabric(ZeroFabric):
+    """Delivers each message after a fixed per-kind delay on every leg."""
+
+    def __init__(self, sim, delays):
+        super().__init__(sim)
+        self.delays = delays
+
+    def send(self, item, size_bytes, src, dst, on_end, on_fail):
+        self.sim.schedule_in(self.delays.get(item.kind, 0), self._arrive, (item, on_end))
 
 
 def make_layer(sim, fabric, **kwargs):
@@ -133,6 +146,28 @@ def test_full_lifecycle_transitions_logged():
         assert ticks.isdigit() and sid == str(session.session_id)
     # BYE and its 200 on top of the setup quadruple
     assert sim.stats.sip_messages_sent == 6
+
+
+@pytest.mark.parametrize("delays, state_at_late_180", [
+    ({RINGING_180: 5_000}, ESTABLISHED),
+    ({RINGING_180: 5_000, ACK: 20_000}, RINGING),
+])
+def test_late_180_after_200_is_ignored(delays, state_at_late_180):
+    # answer at once while the 180 is held back: the caller sees the 200
+    # first, and the 180 then arrives after the final response
+    sim = Simulator()
+    layer = make_layer(sim, ScriptedFabric(sim, delays))
+    session = layer.initiate("a", "b", on_established=lambda s: None,
+                             on_closed=lambda s: None)
+    sim.run_until(9_999)
+    assert session.answered
+    assert session.state == state_at_late_180
+    sim.run_until(seconds(1))
+    assert session.state == ESTABLISHED
+    assert sim.stats.calls_failed_setup == 0
+    assert sim.stats.sip_messages_delivered == 4
+    assert [line.split()[2] for line in layer.session_log] == [
+        "Idle→Inviting", "Inviting→Ringing", "Ringing→Established"]
 
 
 def test_callee_busy_rejected():
