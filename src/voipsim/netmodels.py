@@ -98,6 +98,10 @@ class WifiCell:
             raise ValueError("cw_min must be < cw_max")
         if slot_us <= 0:
             raise ValueError("slot_us must be > 0")
+        for key, value in (("sifs_us", sifs_us), ("difs_us", difs_us),
+                           ("phy_mac_overhead_bytes", phy_mac_overhead_bytes)):
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0")
         if queue_cap <= 0:
             raise ValueError("queue_cap must be > 0")
         if retry_limit < 1:
@@ -259,8 +263,7 @@ class UmtsCell:
     """
 
     def __init__(self, sim: Simulator, name: str, ues: list[str], *,
-                 tti_us: int = 10_000, bearer_rate_bps: int = 64_000,
-                 bler: float = 0.02, max_rlc_retx: int = 2,
+                 tti_us: int = 10_000, bler: float = 0.02, max_rlc_retx: int = 2,
                  nodeb_rnc_delay_us: int = 15_000, rnc_proc_delay_us: int = 25_000,
                  cn_delay_us: int = 25_000, air_interleave_delay_us: int = 40_000,
                  queue_cap: int = 50):
@@ -276,7 +279,6 @@ class UmtsCell:
         self.name = name
         self.stations = list(ues)
         self.tti_us = tti_us
-        self.bearer_rate_bps = bearer_rate_bps
         self.bler = bler
         self.max_rlc_retx = max_rlc_retx
         self.nodeb_rnc_delay_us = nodeb_rnc_delay_us

@@ -49,8 +49,7 @@ def build_cell(sim: Simulator, subnet: SubnetSpec):
                         queue_cap=p.queue_cap)
     p = subnet.umts
     return UmtsCell(sim, subnet.name, stations,
-                    tti_us=p.tti_us, bearer_rate_bps=p.bearer_rate_bps,
-                    bler=p.bler, max_rlc_retx=p.max_rlc_retx,
+                    tti_us=p.tti_us, bler=p.bler, max_rlc_retx=p.max_rlc_retx,
                     nodeb_rnc_delay_us=p.nodeb_rnc_delay_us,
                     rnc_proc_delay_us=p.rnc_proc_delay_us,
                     cn_delay_us=p.cn_delay_us,
@@ -77,8 +76,15 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 def _write_manifest(path: str, spec: ScenarioSpec, seed: int, stats: RunStats | None,
                     files: dict[str, str | None], partial: bool) -> None:
+    # imported here, not at start-up: its module-level regex compiles add
+    # about 5% to the time before the first event
+    import platform
+
     manifest = {
         "tool_version": __version__,
+        # byte identity rests on the interpreter's random algorithms
+        "python": {"implementation": platform.python_implementation(),
+                   "version": platform.python_version()},
         "spec_sha256": spec_digest(spec),
         "scenario": spec_as_dict(spec),
         "seed": seed,

@@ -20,8 +20,8 @@ Grammar (all keys optional unless noted; values are numbers or names):
     stations = 4
     ; wifi keys: data_rate_bps slot_us sifs_us difs_us cw_min cw_max
     ;            retry_limit phy_mac_overhead_bytes queue_cap
-    ; umts keys: tti_ms bearer_rate_bps bler max_rlc_retx nodeb_rnc_delay_ms
-    ;            rnc_proc_delay_ms cn_delay_ms air_interleave_delay_ms queue_cap
+    ; umts keys: tti_ms bler max_rlc_retx nodeb_rnc_delay_ms rnc_proc_delay_ms
+    ;            cn_delay_ms air_interleave_delay_ms queue_cap
 
     [cloud]
     base_delay_ms = 30
@@ -74,7 +74,6 @@ class WifiParams:
 @dataclass(frozen=True)
 class UmtsParams:
     tti_us: int = 10_000
-    bearer_rate_bps: int = 64_000
     bler: float = 0.02
     max_rlc_retx: int = 2
     nodeb_rnc_delay_us: int = 15_000
@@ -159,6 +158,9 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
                 fail(f"subnet {sub.name}: data_rate_bps must be > 0")
             if p.slot_us <= 0:
                 fail(f"subnet {sub.name}: slot_us must be > 0")
+            for key in ("sifs_us", "difs_us", "phy_mac_overhead_bytes"):
+                if getattr(p, key) < 0:
+                    fail(f"subnet {sub.name}: {key} must be >= 0")
         else:
             p = sub.umts
             if p is None or sub.wifi is not None:
@@ -232,7 +234,6 @@ _WIFI_KEYS = {
 }
 _UMTS_KEYS = {
     "tti_ms": ("tti_us", _MS),
-    "bearer_rate_bps": ("bearer_rate_bps", "int"),
     "bler": ("bler", "float"),
     "max_rlc_retx": ("max_rlc_retx", "int"),
     "nodeb_rnc_delay_ms": ("nodeb_rnc_delay_us", _MS),
@@ -345,66 +346,43 @@ def parse_scenario(path) -> ScenarioSpec:
 # -- emission ----------------------------------------------------------------
 
 
-def _emit_value(value, how) -> str:
-    if how in ("token", "int", "float"):
-        return str(value)
-    _suffix, scale = how
-    scaled = value / scale
-    return str(int(scaled)) if float(scaled).is_integer() else repr(scaled)
-
-
-def _emit_section(lines: list[str], header: str, obj, keymap, extra=()) -> None:
-    lines.append(f"[{header}]")
-    for key, value in extra:
-        lines.append(f"{key} = {value}")
+def _section(obj, keymap, head: dict | None = None) -> dict:
+    block = dict(head or {})
     for key, (field_name, how) in keymap.items():
-        lines.append(f"{key} = {_emit_value(getattr(obj, field_name), how)}")
-    lines.append("")
+        value = getattr(obj, field_name)
+        if how not in ("token", "int", "float"):
+            _suffix, scale = how
+            value /= scale
+            if value.is_integer():
+                value = int(value)
+        block[key] = value
+    return block
+
+
+def spec_as_dict(spec: ScenarioSpec) -> dict:
+    """Fully resolved key/value view, one block per section in file order."""
+    out = {"scenario": _section(spec, _SCENARIO_KEYS)}
+    for sub in spec.subnets:
+        params, keymap = (sub.wifi, _WIFI_KEYS) if sub.kind == "wifi" else (sub.umts, _UMTS_KEYS)
+        out[f"subnet.{sub.name}"] = _section(
+            params, keymap, {"kind": sub.kind, "stations": sub.stations})
+    out["cloud"] = _section(spec.cloud, _CLOUD_KEYS)
+    out["calls"] = _section(spec.calls, _CALLS_KEYS)
+    return out
 
 
 def emit_scenario(spec: ScenarioSpec) -> str:
     """Canonical text form listing every resolved field; parse inverts it."""
     lines: list[str] = []
-    _emit_section(lines, "scenario", spec, _SCENARIO_KEYS)
-    for sub in spec.subnets:
-        keymap = _WIFI_KEYS if sub.kind == "wifi" else _UMTS_KEYS
-        params = sub.wifi if sub.kind == "wifi" else sub.umts
-        _emit_section(lines, f"subnet.{sub.name}", params, keymap,
-                      extra=(("kind", sub.kind), ("stations", sub.stations)))
-    _emit_section(lines, "cloud", spec.cloud, _CLOUD_KEYS)
-    _emit_section(lines, "calls", spec.calls, _CALLS_KEYS)
+    for header, block in spec_as_dict(spec).items():
+        lines.append(f"[{header}]")
+        lines += [f"{key} = {value}" for key, value in block.items()]
+        lines.append("")
     return "\n".join(lines)
 
 
 def spec_digest(spec: ScenarioSpec) -> str:
     return hashlib.sha256(emit_scenario(spec).encode()).hexdigest()
-
-
-def spec_as_dict(spec: ScenarioSpec) -> dict:
-    """Fully resolved key/value view, for the run manifest."""
-    out: dict = {"scenario": {}, "cloud": {}, "calls": {}}
-    for key, (field_name, how) in _SCENARIO_KEYS.items():
-        out["scenario"][key] = _coerce(getattr(spec, field_name), how)
-    for sub in spec.subnets:
-        keymap = _WIFI_KEYS if sub.kind == "wifi" else _UMTS_KEYS
-        params = sub.wifi if sub.kind == "wifi" else sub.umts
-        block = {"kind": sub.kind, "stations": sub.stations}
-        for key, (field_name, how) in keymap.items():
-            block[key] = _coerce(getattr(params, field_name), how)
-        out[f"subnet.{sub.name}"] = block
-    for key, (field_name, how) in _CLOUD_KEYS.items():
-        out["cloud"][key] = _coerce(getattr(spec.cloud, field_name), how)
-    for key, (field_name, how) in _CALLS_KEYS.items():
-        out["calls"][key] = _coerce(getattr(spec.calls, field_name), how)
-    return out
-
-
-def _coerce(value, how):
-    if how in ("token", "int", "float"):
-        return value
-    _suffix, scale = how
-    scaled = value / scale
-    return int(scaled) if float(scaled).is_integer() else scaled
 
 
 # -- builtin presets ---------------------------------------------------------

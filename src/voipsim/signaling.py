@@ -4,8 +4,9 @@ One shared state machine per session walks Idle, Inviting, Ringing,
 Established, Terminating, Closed; any state may fall to Closed on timeout or
 protocol violation.  Every message travels caller -> proxy -> callee through
 the same network fabric as media, so setup delay is real transport delay.
-Media gating is the caller's job: the call scheduler starts frames on the
-established callback and stops them at the scheduled call end.
+Media gating and busy tracking are the caller's job: the call scheduler
+pairs only idle stations, starts frames on the established callback and stops
+them at the scheduled call end.
 """
 
 from __future__ import annotations
@@ -40,40 +41,26 @@ class CalleeUnregistered(SipError):
     pass
 
 
-class CalleeBusy(SipError):
-    pass
-
-
 class ProtocolViolation(SipError):
     """Message illegal in the session's current state."""
 
 
-class Binding:
-    def __init__(self, uri: str, location: str, refreshed: bool):
-        self.uri = uri
-        self.location = location
-        self.refreshed = refreshed
-
-
 class SipAgent:
-    def __init__(self, uri: str, home_proxy: str):
+    def __init__(self, uri: str):
         self.uri = uri
-        self.home_proxy = home_proxy
         self.registered = False
 
 
 class SipProxy:
-    """URI registry; re-registration refreshes the binding in place."""
+    """URI registry; re-registration replaces the location in place."""
 
     def __init__(self, name: str = "proxy"):
         self.name = name
         self.registry: dict[str, str] = {}
 
-    def register(self, agent: SipAgent, location: str | None = None) -> Binding:
-        refreshed = agent.uri in self.registry
+    def register(self, agent: SipAgent, location: str | None = None) -> None:
         self.registry[agent.uri] = location if location is not None else agent.uri
         agent.registered = True
-        return Binding(agent.uri, self.registry[agent.uri], refreshed)
 
     def lookup(self, uri: str) -> str:
         try:
@@ -101,7 +88,6 @@ class SipSession:
         self.t_invite = t_invite
         self.t_established: int | None = None
         self.answered = False  # 200 seen by caller, ACK on the way
-        self.call = None  # attached by the call scheduler once media starts
         self.on_established = None
         self.on_closed = None
         self._timeout_event: int | None = None
@@ -131,11 +117,10 @@ class SessionLayer:
         self.proxy = SipProxy(proxy_node)
         self.agents: dict[str, SipAgent] = {}
         self.sessions: list[SipSession] = []
-        self._in_session: set[str] = set()
         self._next_session_id = 0
 
     def add_agent(self, uri: str) -> SipAgent:
-        agent = SipAgent(uri, self.proxy_node)
+        agent = SipAgent(uri)
         self.agents[uri] = agent
         self.proxy.register(agent)
         return agent
@@ -154,15 +139,11 @@ class SessionLayer:
             self.proxy.lookup(callee)
         except NotFound:
             raise CalleeUnregistered(callee) from None
-        if callee in self._in_session:
-            raise CalleeBusy(callee)
         session = SipSession(self._next_session_id, caller, callee, self.sim.now)
         self._next_session_id += 1
         session.on_established = on_established
         session.on_closed = on_closed
         self.sessions.append(session)
-        self._in_session.add(caller)
-        self._in_session.add(callee)
         self._transition(session, INVITING)
         session._timeout_event = self.sim.schedule_in(
             self.invite_timeout_us, self._on_timeout, session, kind="sip-timeout")
@@ -273,8 +254,6 @@ class SessionLayer:
             self.sim.cancel(session._answer_event)
             session._answer_event = None
         self._transition(session, CLOSED)
-        self._in_session.discard(session.caller)
-        self._in_session.discard(session.callee)
         if session.on_closed is not None:
             session.on_closed(session)
 

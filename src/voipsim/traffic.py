@@ -150,13 +150,12 @@ class MediaStream:
 class VoicePacket:
     """A single voice frame in flight."""
 
-    __slots__ = ("stream", "seq", "size_bytes", "t_send")
+    __slots__ = ("stream", "seq", "size_bytes")
 
-    def __init__(self, stream: MediaStream, seq: int, t_send: int):
+    def __init__(self, stream: MediaStream, seq: int):
         self.stream = stream
         self.seq = seq
         self.size_bytes = stream.codec.packet_size_bytes
-        self.t_send = t_send
 
     @property
     def src(self) -> str:
@@ -226,9 +225,6 @@ class CallScheduler:
     def start(self) -> None:
         self._schedule_next_arrival()
 
-    def is_busy(self, workstation: str) -> bool:
-        return workstation in self._busy
-
     def _schedule_next_arrival(self) -> None:
         gap = exp_sample(self._rng, self.proc.inter_arrival_mean_us)
         self.sim.schedule_in(gap, self._on_arrival, kind="call-arrival")
@@ -264,7 +260,6 @@ class CallScheduler:
                     self.sim.now, duration, self.codec)
         self._next_call_id += 1
         self.calls.append(call)
-        session.call = call
         self.sim.stats.calls_established += 1
         if call.streams[0].n_packets > 0:
             # both directions share t0, frame interval and length, so one
@@ -280,12 +275,11 @@ class CallScheduler:
             self.sim.schedule_in(self.codec.frame_interval_us, self._emit,
                                  (streams, seq + 1), kind="media-emit")
         stats = self.sim.stats
-        now = self.sim.now
         for stream in streams:  # forward, then reverse
             stream.recv.append(PENDING)
             stats.packets_generated += 1
             stats.packets_in_flight += 1
-            self.fabric.send_media(VoicePacket(stream, seq, now))
+            self.fabric.send_media(VoicePacket(stream, seq))
 
     def _end_call(self, session) -> None:
         self.sim.stats.calls_completed += 1

@@ -153,6 +153,14 @@ def test_run_negative_cw_min_is_config_error(tmp_path, capsys):
     assert "cw_min must be >= 0" in err
 
 
+def test_run_negative_sifs_is_config_error(tmp_path, capsys):
+    ini = tmp_path / "smoke.ini"
+    ini.write_text(SHORT_INI.replace("stations = 2", "stations = 2\nsifs_us = -1000", 1))
+    code, _, err = run_cli(capsys, "run", "--scenario", str(ini), "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "sifs_us must be >= 0" in err
+
+
 def test_run_negative_answer_delay_is_config_error(tmp_path, capsys):
     ini = tmp_path / "smoke.ini"
     ini.write_text(SHORT_INI + "answer_delay_s = -1\n")

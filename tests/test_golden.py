@@ -1,4 +1,5 @@
-"""Golden digests: the metrics CSV of fixed scenarios and seeds, byte for byte.
+"""Golden digests: the metrics CSV of fixed scenarios and seeds, byte for byte,
+and the canonical text of each builtin scenario.
 
 Performance and refactoring changes must leave these digests unchanged.  A
 change that alters model output on purpose records the new digests here and
@@ -11,7 +12,7 @@ import hashlib
 import pytest
 
 from voipsim.runner import run_scenario
-from voipsim.scenario import builtin_scenario, parse_scenario_text, validate
+from voipsim.scenario import builtin_scenario, emit_scenario, parse_scenario_text, validate
 
 # the 33-node WiFi cell of this signaling-heavy load is the one that collides
 CALL_STORM_INI = """\
@@ -64,3 +65,17 @@ def test_metrics_csv_matches_golden_digest(name, tmp_path):
     with open(out.csv_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+# emit_scenario of each builtin; the spec digest in every manifest hashes it
+SCENARIO_TEXT_SHA256 = {
+    "wifi-wifi": "9a3540d3d984ca3b4c6981565d42a396ae2020668033a4bef8a9321a1c2bb2f8",
+    "umts-umts": "36b1a4ede7dac12827c1ecf6c5d4030c2a6843d0a19a989554ca0507bdc9fe16",
+    "wifi-umts": "424eba95f45d243f3752553d46edb1f4e4a3688f01ca8a9f84b07c89709440c0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TEXT_SHA256))
+def test_builtin_scenario_text_matches_golden_digest(name):
+    text = emit_scenario(builtin_scenario(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_TEXT_SHA256[name]

@@ -64,7 +64,7 @@ def test_wifi_exchange_time_components():
 
 @pytest.mark.parametrize("kwargs", [
     {"cw_min": -5}, {"cw_min": 31, "cw_max": 31}, {"slot_us": 0}, {"queue_cap": 0},
-    {"retry_limit": 0},
+    {"retry_limit": 0}, {"sifs_us": -1}, {"difs_us": -1}, {"phy_mac_overhead_bytes": -1},
 ])
 def test_wifi_rejects_degenerate_parameters(kwargs):
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import platform
 import stat
 from dataclasses import replace
 
@@ -85,6 +86,8 @@ def test_manifest_contents(tmp_path):
     out = run_scenario(spec, out_dir=str(tmp_path))
     manifest = json.loads(read_file(out.manifest_path))
     assert manifest["tool_version"] == voipsim.__version__
+    assert manifest["python"] == {"implementation": platform.python_implementation(),
+                                  "version": platform.python_version()}
     assert manifest["spec_sha256"] == spec_digest(spec)
     assert manifest["seed"] == 7
     assert manifest["partial"] is False

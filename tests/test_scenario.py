@@ -129,6 +129,13 @@ def test_unknown_key_rejected():
         parse_scenario_text(MINIMAL + "\n[cloud]\nbase_delay_us = 1\n")
 
 
+def test_removed_bearer_rate_key_rejected():
+    # the UMTS model sends one packet per TTI attempt; no rate is modelled
+    text = MINIMAL.replace("kind = umts", "kind = umts\nbearer_rate_bps = 64000")
+    with pytest.raises(ParseError, match=r"\[subnet.right\] unknown key 'bearer_rate_bps'"):
+        parse_scenario_text(text, default_name="demo")
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ParseError, match=r"unknown section \[clouds\]"):
         parse_scenario_text(MINIMAL + "\n[clouds]\nbase_delay_ms = 1\n")
@@ -212,6 +219,9 @@ def test_cw_ordering_enforced():
 @pytest.mark.parametrize("kind, key, message", [
     ("wifi", "cw_min = -5", "cw_min must be >= 0"),
     ("wifi", "slot_us = 0", "slot_us must be > 0"),
+    ("wifi", "sifs_us = -1000", "sifs_us must be >= 0"),
+    ("wifi", "difs_us = -5000", "difs_us must be >= 0"),
+    ("wifi", "phy_mac_overhead_bytes = -2000", "phy_mac_overhead_bytes must be >= 0"),
     ("wifi", "queue_cap = 0", "queue_cap must be > 0"),
     ("umts", "queue_cap = 0", "queue_cap must be > 0"),
 ])

@@ -11,7 +11,6 @@ from voipsim.signaling import (
     RINGING,
     RINGING_180,
     TERMINATING,
-    CalleeBusy,
     CalleeUnregistered,
     NotFound,
     SessionLayer,
@@ -71,10 +70,9 @@ def make_layer(sim, fabric, **kwargs):
 
 def test_register_and_lookup():
     proxy = SipProxy()
-    agents = [SipAgent(f"ws{i}", "proxy") for i in range(8)]
+    agents = [SipAgent(f"ws{i}") for i in range(8)]
     for agent in agents:
-        binding = proxy.register(agent)
-        assert not binding.refreshed
+        proxy.register(agent)
         assert agent.registered
     assert len(proxy.registry) == 8
     assert proxy.lookup("ws3") == "ws3"
@@ -88,10 +86,9 @@ def test_lookup_unregistered_raises():
 
 def test_reregistration_refreshes_in_place():
     proxy = SipProxy()
-    agent = SipAgent("ws0", "proxy")
+    agent = SipAgent("ws0")
     proxy.register(agent)
-    binding = proxy.register(agent, location="elsewhere")
-    assert binding.refreshed
+    proxy.register(agent, location="elsewhere")
     assert len(proxy.registry) == 1
     assert proxy.lookup("ws0") == "elsewhere"
 
@@ -168,14 +165,6 @@ def test_late_180_after_200_is_ignored(delays, state_at_late_180):
     assert sim.stats.sip_messages_delivered == 4
     assert [line.split()[2] for line in layer.session_log] == [
         "Idle→Inviting", "Inviting→Ringing", "Ringing→Established"]
-
-
-def test_callee_busy_rejected():
-    sim = Simulator()
-    layer = make_layer(sim, ZeroFabric(sim))
-    layer.initiate("a", "b", on_established=lambda s: None, on_closed=lambda s: None)
-    with pytest.raises(CalleeBusy):
-        layer.initiate("c", "b", on_established=lambda s: None, on_closed=lambda s: None)
 
 
 def test_callee_unregistered_rejected():

@@ -131,7 +131,7 @@ class _SinkFabric:
         self.sent = []
 
     def send_media(self, packet):
-        self.sent.append((packet.stream.direction, packet.seq, packet.t_send))
+        self.sent.append((packet.stream.direction, packet.seq, self.sim.now))
         packet.stream.mark_delivered(packet.seq, self.sim.now)
         self.sim.stats.packets_delivered += 1
         self.sim.stats.packets_in_flight -= 1
