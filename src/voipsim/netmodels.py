@@ -1,5 +1,9 @@
 """Network transport: 802.11 DCF cells, a UMTS delay pipeline, and an IP cloud.
 
+Each model owns its parameters: WifiParams, UmtsParams and CloudSpec hold
+the defaults, and their check() is the one place their range rules live.  A
+model takes its params object whole and reads its fields from there.
+
 Every packet (voice or signaling) travels an ordered list of path segments.
 Segment implementations never talk to each other; they hand completed or
 dropped envelopes back to the Fabric, which advances the path and does the
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .simcore import Simulator, SimError
@@ -29,6 +34,83 @@ DROP_CLOUD_LOSS = "cloud-loss"
 
 class UnknownEndpoint(SimError):
     """Route requested for a workstation no cell claims."""
+
+
+@dataclass(frozen=True)
+class WifiParams:
+    data_rate_bps: int = 11_000_000
+    slot_us: int = 20
+    sifs_us: int = 10
+    difs_us: int = 50
+    cw_min: int = 31
+    cw_max: int = 1023
+    retry_limit: int = 7
+    phy_mac_overhead_bytes: int = 58
+    queue_cap: int = 50
+
+    def check(self) -> None:
+        """Raise ValueError for the first rule broken, its message led by the
+        field's name (validate() reports it under the config key)."""
+        if self.cw_min < 0:
+            raise ValueError("cw_min must be >= 0")
+        if not self.cw_min < self.cw_max:
+            raise ValueError("cw_min must be < cw_max")
+        if self.retry_limit < 1:
+            raise ValueError("retry_limit must be >= 1")
+        if self.data_rate_bps <= 0:
+            raise ValueError("data_rate_bps must be > 0")
+        if self.slot_us <= 0:
+            raise ValueError("slot_us must be > 0")
+        for key in ("sifs_us", "difs_us", "phy_mac_overhead_bytes"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
+        if self.queue_cap <= 0:
+            raise ValueError("queue_cap must be > 0")
+
+
+@dataclass(frozen=True)
+class UmtsParams:
+    tti_us: int = 10_000
+    bler: float = 0.02
+    max_rlc_retx: int = 2
+    nodeb_rnc_delay_us: int = 15_000
+    rnc_proc_delay_us: int = 25_000
+    cn_delay_us: int = 25_000
+    air_interleave_delay_us: int = 40_000
+    queue_cap: int = 50
+
+    def check(self) -> None:
+        """Raise ValueError for the first rule broken, its message led by the
+        field's name.  A bler of 1.0 passes, so the every-packet-drops case
+        stays testable."""
+        if not 0 <= self.bler <= 1:
+            raise ValueError("bler must be in [0, 1]")
+        if self.max_rlc_retx < 0:
+            raise ValueError("max_rlc_retx must be >= 0")
+        if self.tti_us <= 0:
+            raise ValueError("tti_us must be > 0")
+        if min(self.nodeb_rnc_delay_us, self.rnc_proc_delay_us, self.cn_delay_us,
+               self.air_interleave_delay_us) < 0:
+            raise ValueError("delays must be >= 0")
+        if self.queue_cap <= 0:
+            raise ValueError("queue_cap must be > 0")
+
+
+@dataclass(frozen=True)
+class CloudSpec:
+    base_delay_us: int = 30_000
+    jitter_half_width_us: int = 5_000
+    loss_prob: float = 0.0
+
+    def check(self) -> None:
+        """Raise ValueError for the first rule broken, its message led by the
+        field's name (validate() reports it under the config key)."""
+        if self.jitter_half_width_us < 0:
+            raise ValueError("jitter_half_width_us must be >= 0")
+        if self.base_delay_us - self.jitter_half_width_us < 0:
+            raise ValueError("delay range must not go negative")
+        if not 0 <= self.loss_prob <= 1:
+            raise ValueError("loss_prob must be in [0, 1]")
 
 
 class Envelope:
@@ -87,38 +169,14 @@ class WifiCell:
     and the packet egresses the cell when the exchange completes.
     """
 
-    def __init__(self, sim: Simulator, name: str, stations: list[str], *,
-                 data_rate_bps: int = 11_000_000, slot_us: int = 20,
-                 sifs_us: int = 10, difs_us: int = 50,
-                 cw_min: int = 31, cw_max: int = 1023, retry_limit: int = 7,
-                 phy_mac_overhead_bytes: int = 58, queue_cap: int = 50):
-        if cw_min < 0:
-            raise ValueError("cw_min must be >= 0")
-        if not cw_min < cw_max:
-            raise ValueError("cw_min must be < cw_max")
-        if slot_us <= 0:
-            raise ValueError("slot_us must be > 0")
-        for key, value in (("sifs_us", sifs_us), ("difs_us", difs_us),
-                           ("phy_mac_overhead_bytes", phy_mac_overhead_bytes)):
-            if value < 0:
-                raise ValueError(f"{key} must be >= 0")
-        if queue_cap <= 0:
-            raise ValueError("queue_cap must be > 0")
-        if retry_limit < 1:
-            raise ValueError("retry_limit must be >= 1")
+    def __init__(self, sim: Simulator, name: str, stations: list[str],
+                 params: WifiParams = WifiParams()):
+        params.check()
         self.sim = sim
         self.name = name
         self.stations = list(stations)
         self.ap_id = f"{name}-ap"
-        self.data_rate_bps = data_rate_bps
-        self.slot_us = slot_us
-        self.sifs_us = sifs_us
-        self.difs_us = difs_us
-        self.cw_min = cw_min
-        self.cw_max = cw_max
-        self.retry_limit = retry_limit
-        self.phy_mac_overhead_bytes = phy_mac_overhead_bytes
-        self.queue_cap = queue_cap
+        self.params = params
         self.fabric = None
         self._rng = sim.rng.stream(f"wifi-backoff:{name}")
         self._contenders = {node: _Contender(rank)
@@ -145,21 +203,22 @@ class WifiCell:
         """Medium occupancy of one successful exchange: data + SIFS + ACK."""
         us = self._exchange.get(size_bytes)
         if us is None:
-            data = round((size_bytes + self.phy_mac_overhead_bytes) * 8 * 1_000_000
-                         / self.data_rate_bps)
-            us = self._exchange[size_bytes] = data + self.sifs_us + self._ack_us
+            p = self.params
+            data = round((size_bytes + p.phy_mac_overhead_bytes) * 8 * 1_000_000
+                         / p.data_rate_bps)
+            us = self._exchange[size_bytes] = data + p.sifs_us + self._ack_us
         return us
 
     # -- DCF mechanics --------------------------------------------------
 
     def _enqueue(self, env: Envelope, node: str) -> None:
         c = self._contenders[node]
-        if len(c.queue) >= self.queue_cap:
+        if len(c.queue) >= self.params.queue_cap:
             self.fabric.segment_drop(env, DROP_QUEUE_OVERFLOW)
             return
         c.queue.append(env)
         if c.backoff is None:
-            c.cw = self.cw_min
+            c.cw = self.params.cw_min
             c.retries = 0
             c.backoff = self._rng.randint(0, c.cw)
             self._join_round(c)
@@ -172,29 +231,30 @@ class WifiCell:
         if self._round_event is None:
             # no round pending means nobody else is contending
             active.append(newcomer)
-            self._arm_round(max(self.sim.now, self._busy_until) + self.difs_us,
+            self._arm_round(max(self.sim.now, self._busy_until) + self.params.difs_us,
                             newcomer.backoff)
             return
         self.sim.cancel(self._round_event)
         insort(active, newcomer, key=_by_rank)
         t0 = self._round_t0
-        elapsed = (self.sim.now - t0) // self.slot_us
+        elapsed = (self.sim.now - t0) // self.params.slot_us
         if elapsed > 0:
             # deviation: a newcomer's fresh draw also loses the slots elapsed before it arrived
             for c in active:
                 if c.backoff >= elapsed:
                     c.backoff -= elapsed
-            t0 += elapsed * self.slot_us
+            t0 += elapsed * self.params.slot_us
         self._arm_round(t0, min(c.backoff for c in active))
 
     def _arm_round(self, t0: int, min_b: int) -> None:
         self._round_t0 = t0
-        fire_at = max(self.sim.now, t0 + min_b * self.slot_us)
+        fire_at = max(self.sim.now, t0 + min_b * self.params.slot_us)
         self._round_event = self.sim.schedule(fire_at, self._round_fire,
                                               target=self.name, kind="wifi-round")
 
     def _round_fire(self, _arg) -> None:
         self._round_event = None
+        p = self.params
         active = self._active
         if len(active) == 1:
             winners = [active[0]]  # a lone contender wins whatever its count
@@ -213,7 +273,7 @@ class WifiCell:
             exchange = self.exchange_us(env.size_bytes)
             self._busy_until = now + exchange
             self.fabric.hold(env, exchange, "wifi-deliver")
-            w.cw = self.cw_min
+            w.cw = p.cw_min
             w.retries = 0
             self._redraw(w)
         else:
@@ -223,16 +283,16 @@ class WifiCell:
             self._busy_until = now + longest
             for c in winners:
                 c.retries += 1
-                if c.retries > self.retry_limit:
+                if c.retries > p.retry_limit:
                     env = c.queue.popleft()
                     self.fabric.segment_drop(env, DROP_COLLISION_RETRY)
-                    c.cw = self.cw_min
+                    c.cw = p.cw_min
                     c.retries = 0
                 else:
-                    c.cw = min(2 * c.cw + 1, self.cw_max)
+                    c.cw = min(2 * c.cw + 1, p.cw_max)
                 self._redraw(c)
         if active:
-            self._arm_round(self._busy_until + self.difs_us,
+            self._arm_round(self._busy_until + p.difs_us,
                             min(c.backoff for c in active))
 
     def _redraw(self, c: _Contender) -> None:
@@ -262,38 +322,21 @@ class UmtsCell:
     fabric carries as a fixed delay of pipe_us.
     """
 
-    def __init__(self, sim: Simulator, name: str, ues: list[str], *,
-                 tti_us: int = 10_000, bler: float = 0.02, max_rlc_retx: int = 2,
-                 nodeb_rnc_delay_us: int = 15_000, rnc_proc_delay_us: int = 25_000,
-                 cn_delay_us: int = 25_000, air_interleave_delay_us: int = 40_000,
-                 queue_cap: int = 50):
-        # scenario validation keeps configured bler below 1; the cell itself
-        # accepts the degenerate 1.0 so the every-packet-drops case is testable
-        if not 0 <= bler <= 1:
-            raise ValueError("bler must be in [0, 1]")
-        for d in (nodeb_rnc_delay_us, rnc_proc_delay_us, cn_delay_us,
-                  air_interleave_delay_us):
-            if d < 0:
-                raise ValueError("delays must be >= 0")
+    def __init__(self, sim: Simulator, name: str, ues: list[str],
+                 params: UmtsParams = UmtsParams()):
+        params.check()
         self.sim = sim
         self.name = name
         self.stations = list(ues)
-        self.tti_us = tti_us
-        self.bler = bler
-        self.max_rlc_retx = max_rlc_retx
-        self.nodeb_rnc_delay_us = nodeb_rnc_delay_us
-        self.rnc_proc_delay_us = rnc_proc_delay_us
-        self.cn_delay_us = cn_delay_us
-        self.air_interleave_delay_us = air_interleave_delay_us
-        self.queue_cap = queue_cap
+        self.params = params
         self.fabric = None
         self._rng = sim.rng.stream(f"umts-bler:{name}")
         self._up = {ue: _Bearer() for ue in ues}
         self._down = {ue: _Bearer() for ue in ues}
         # uplink: air first, then interleave + Iub + RNC + CN toward the cloud;
         # downlink mirrors it
-        self.pipe_us = (air_interleave_delay_us + nodeb_rnc_delay_us
-                        + rnc_proc_delay_us + cn_delay_us)
+        self.pipe_us = (params.air_interleave_delay_us + params.nodeb_rnc_delay_us
+                        + params.rnc_proc_delay_us + params.cn_delay_us)
 
     def bind(self, fabric: "Fabric") -> None:
         self.fabric = fabric
@@ -313,7 +356,7 @@ class UmtsCell:
         ]
 
     def next_tti_boundary(self, t: int) -> int:
-        tti = self.tti_us
+        tti = self.params.tti_us
         return -(-t // tti) * tti
 
     def _air_up(self, env: Envelope, ue: str) -> None:
@@ -324,7 +367,7 @@ class UmtsCell:
 
     def _air_enqueue(self, bearer: _Bearer, env: Envelope) -> None:
         if bearer.busy or bearer.items:
-            if len(bearer.items) >= self.queue_cap:
+            if len(bearer.items) >= self.params.queue_cap:
                 self.fabric.segment_drop(env, DROP_QUEUE_OVERFLOW)
                 return
             bearer.items.append(env)
@@ -333,16 +376,17 @@ class UmtsCell:
 
     def _air_start(self, bearer: _Bearer, env: Envelope) -> None:
         bearer.busy = True
-        first_end = self.next_tti_boundary(self.sim.now) + self.tti_us
+        first_end = self.next_tti_boundary(self.sim.now) + self.params.tti_us
         self.sim.schedule(first_end, self._attempt_end, (bearer, env, 1),
                           target=self.name, kind="umts-air")
 
     def _attempt_end(self, arg) -> None:
         bearer, env, attempt = arg
-        if self.bler == 0.0 or self._rng.random() >= self.bler:
+        p = self.params
+        if p.bler == 0.0 or self._rng.random() >= p.bler:
             self.fabric.segment_done(env)
-        elif attempt <= self.max_rlc_retx:
-            self.sim.schedule_in(self.tti_us, self._attempt_end,
+        elif attempt <= p.max_rlc_retx:
+            self.sim.schedule_in(p.tti_us, self._attempt_end,
                                  (bearer, env, attempt + 1),
                                  target=self.name, kind="umts-air")
             return
@@ -360,18 +404,10 @@ class IpCloud:
     With neither jitter nor loss it draws nothing, and the fabric carries it
     as a fixed delay."""
 
-    def __init__(self, sim: Simulator, *, base_delay_us: int = 30_000,
-                 jitter_half_width_us: int = 5_000, loss_prob: float = 0.0):
-        if jitter_half_width_us < 0:
-            raise ValueError("jitter_half_width_us must be >= 0")
-        if base_delay_us - jitter_half_width_us < 0:
-            raise ValueError("delay range must not go negative")
-        if not 0 <= loss_prob <= 1:
-            raise ValueError("loss_prob must be in [0, 1]")
+    def __init__(self, sim: Simulator, params: CloudSpec = CloudSpec()):
+        params.check()
         self.sim = sim
-        self.base_delay_us = base_delay_us
-        self.jitter_half_width_us = jitter_half_width_us
-        self.loss_prob = loss_prob
+        self.params = params
         self.fabric = None
         self._rng_jitter = sim.rng.stream("cloud-jitter")
         self._rng_loss = sim.rng.stream("cloud-loss")
@@ -380,11 +416,12 @@ class IpCloud:
         self.fabric = fabric
 
     def forward(self, env: Envelope, _node) -> None:
-        if self.loss_prob > 0.0 and self._rng_loss.random() < self.loss_prob:
+        p = self.params
+        if p.loss_prob > 0.0 and self._rng_loss.random() < p.loss_prob:
             self.fabric.segment_drop(env, DROP_CLOUD_LOSS)
             return
-        delay = self.base_delay_us
-        hw = self.jitter_half_width_us
+        delay = p.base_delay_us
+        hw = p.jitter_half_width_us
         if hw:
             delay += self._rng_jitter.randint(-hw, hw)
         self.fabric.hold(env, delay, "cloud-deliver")
@@ -424,8 +461,9 @@ class Fabric:
         self._fixed: dict[str, tuple[int, str]] = {}
         self._next_pid = 0
         cloud.bind(self)
-        if cloud.jitter_half_width_us == 0 and cloud.loss_prob == 0:
-            self.fix("cloud", cloud.base_delay_us, "cloud-deliver")
+        p = cloud.params
+        if p.jitter_half_width_us == 0 and p.loss_prob == 0:
+            self.fix("cloud", p.base_delay_us, "cloud-deliver")
 
     def fix(self, label: str, delay_us: int, kind: str) -> None:
         """Declare segment label a constant delay that draws nothing; kind

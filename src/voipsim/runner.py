@@ -37,24 +37,9 @@ class RunOutput:
 
 
 def build_cell(sim: Simulator, subnet: SubnetSpec):
-    stations = subnet.workstations()
     if subnet.kind == "wifi":
-        p = subnet.wifi
-        return WifiCell(sim, subnet.name, stations,
-                        data_rate_bps=p.data_rate_bps, slot_us=p.slot_us,
-                        sifs_us=p.sifs_us, difs_us=p.difs_us,
-                        cw_min=p.cw_min, cw_max=p.cw_max,
-                        retry_limit=p.retry_limit,
-                        phy_mac_overhead_bytes=p.phy_mac_overhead_bytes,
-                        queue_cap=p.queue_cap)
-    p = subnet.umts
-    return UmtsCell(sim, subnet.name, stations,
-                    tti_us=p.tti_us, bler=p.bler, max_rlc_retx=p.max_rlc_retx,
-                    nodeb_rnc_delay_us=p.nodeb_rnc_delay_us,
-                    rnc_proc_delay_us=p.rnc_proc_delay_us,
-                    cn_delay_us=p.cn_delay_us,
-                    air_interleave_delay_us=p.air_interleave_delay_us,
-                    queue_cap=p.queue_cap)
+        return WifiCell(sim, subnet.name, subnet.workstations(), subnet.wifi)
+    return UmtsCell(sim, subnet.name, subnet.workstations(), subnet.umts)
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -104,10 +89,7 @@ def run_scenario(spec: ScenarioSpec, *, seed: int | None = None,
     seed = spec.master_seed if seed is None else seed
     sim = Simulator(master_seed=seed)
     tracer = PathTracer() if trace else None
-    cloud = IpCloud(sim, base_delay_us=spec.cloud.base_delay_us,
-                    jitter_half_width_us=spec.cloud.jitter_half_width_us,
-                    loss_prob=spec.cloud.loss_prob)
-    fabric = Fabric(sim, cloud, tracer)
+    fabric = Fabric(sim, IpCloud(sim, spec.cloud), tracer)
     for subnet in spec.subnets:
         fabric.attach_cell(build_cell(sim, subnet))
     log_lines: list[str] | None = [] if session_log else None

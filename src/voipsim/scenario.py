@@ -44,6 +44,7 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 
+from .netmodels import CloudSpec, UmtsParams, WifiParams
 from .simcore import SimError
 from .traffic import CODECS, DEFAULT_CODEC
 
@@ -59,31 +60,6 @@ class ValidationError(SimError):
 
 
 @dataclass(frozen=True)
-class WifiParams:
-    data_rate_bps: int = 11_000_000
-    slot_us: int = 20
-    sifs_us: int = 10
-    difs_us: int = 50
-    cw_min: int = 31
-    cw_max: int = 1023
-    retry_limit: int = 7
-    phy_mac_overhead_bytes: int = 58
-    queue_cap: int = 50
-
-
-@dataclass(frozen=True)
-class UmtsParams:
-    tti_us: int = 10_000
-    bler: float = 0.02
-    max_rlc_retx: int = 2
-    nodeb_rnc_delay_us: int = 15_000
-    rnc_proc_delay_us: int = 25_000
-    cn_delay_us: int = 25_000
-    air_interleave_delay_us: int = 40_000
-    queue_cap: int = 50
-
-
-@dataclass(frozen=True)
 class SubnetSpec:
     name: str
     kind: str  # wifi | umts
@@ -93,13 +69,6 @@ class SubnetSpec:
 
     def workstations(self) -> list[str]:
         return [f"{self.name}-ws{i}" for i in range(1, self.stations + 1)]
-
-
-@dataclass(frozen=True)
-class CloudSpec:
-    base_delay_us: int = 30_000
-    jitter_half_width_us: int = 5_000
-    loss_prob: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -130,6 +99,15 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
     def fail(msg):
         raise ValidationError(f"scenario {spec.name!r}: {msg}")
 
+    def check_params(params, keymap, prefix):
+        """Run params.check(), reporting the field under its config key."""
+        try:
+            params.check()
+        except ValueError as exc:
+            field, _, rule = str(exc).partition(" ")
+            key = next((k for k, (f, _how) in keymap.items() if f == field), field)
+            fail(f"{prefix}{key} {rule}")
+
     if not NAME_RE.match(spec.name or ""):
         fail("name must be a plain token (letters, digits, . _ -)")
     if len(spec.subnets) != 2:
@@ -145,51 +123,27 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
         if sub.stations < 1:
             fail(f"subnet {sub.name}: stations must be >= 1")
         if sub.kind == "wifi":
-            p = sub.wifi
-            if p is None or sub.umts is not None:
+            if sub.wifi is None or sub.umts is not None:
                 fail(f"subnet {sub.name}: wifi subnet needs wifi parameters only")
-            if p.cw_min < 0:
-                fail(f"subnet {sub.name}: cw_min must be >= 0")
-            if not p.cw_min < p.cw_max:
-                fail(f"subnet {sub.name}: cw_min must be < cw_max")
-            if p.retry_limit < 1:
-                fail(f"subnet {sub.name}: retry_limit must be >= 1")
-            if p.data_rate_bps <= 0:
-                fail(f"subnet {sub.name}: data_rate_bps must be > 0")
-            if p.slot_us <= 0:
-                fail(f"subnet {sub.name}: slot_us must be > 0")
-            for key in ("sifs_us", "difs_us", "phy_mac_overhead_bytes"):
-                if getattr(p, key) < 0:
-                    fail(f"subnet {sub.name}: {key} must be >= 0")
+            check_params(sub.wifi, _WIFI_KEYS, f"subnet {sub.name}: ")
         else:
-            p = sub.umts
-            if p is None or sub.wifi is not None:
+            if sub.umts is None or sub.wifi is not None:
                 fail(f"subnet {sub.name}: umts subnet needs umts parameters only")
-            if not 0 <= p.bler < 1:
+            if not 0 <= sub.umts.bler < 1:
+                # the cell also takes 1.0, a test hook that drops every packet
                 fail(f"subnet {sub.name}: bler must be in [0, 1)")
-            if p.max_rlc_retx < 0:
-                fail(f"subnet {sub.name}: max_rlc_retx must be >= 0")
-            if p.tti_us <= 0:
-                fail(f"subnet {sub.name}: tti_ms must be > 0")
-            if min(p.nodeb_rnc_delay_us, p.rnc_proc_delay_us, p.cn_delay_us,
-                   p.air_interleave_delay_us) < 0:
-                fail(f"subnet {sub.name}: delays must be >= 0")
-        if p.queue_cap <= 0:
-            fail(f"subnet {sub.name}: queue_cap must be > 0")
+            check_params(sub.umts, _UMTS_KEYS, f"subnet {sub.name}: ")
     if spec.codec not in CODECS:
         fail(f"unknown codec {spec.codec!r} (have {', '.join(sorted(CODECS))})")
+    if spec.warm_up_us < 0:
+        fail("warm_up_s must be >= 0")
     if spec.run_length_us <= spec.warm_up_us:
         fail("run_length_s must exceed warm_up_s")
     if spec.bucket_width_us <= 0:
         fail("bucket_width_s must be > 0")
     if spec.repetitions < 1:
         fail("repetitions must be >= 1")
-    if spec.cloud.jitter_half_width_us < 0:
-        fail("cloud jitter_half_width_ms must be >= 0")
-    if spec.cloud.base_delay_us - spec.cloud.jitter_half_width_us < 0:
-        fail("cloud delay range must not go negative")
-    if not 0 <= spec.cloud.loss_prob <= 1:
-        fail("cloud loss_prob must be in [0, 1]")
+    check_params(spec.cloud, _CLOUD_KEYS, "cloud ")
     if spec.calls.caller_subnet not in names or spec.calls.callee_subnet not in names:
         fail("calls must reference the declared subnets")
     if spec.calls.inter_arrival_us <= 0 or spec.calls.duration_mean_us <= 0:
@@ -206,12 +160,12 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
 
 # -- parsing -----------------------------------------------------------------
 
-_US = ("us", 1)
-_MS = ("ms", 1_000)
-_S = ("s", 1_000_000)
+_US = 1
+_MS = 1_000
+_S = 1_000_000
 
-# key -> (dataclass field, converter tag); converter tags: int, float, prob,
-# or a (suffix, scale) pair turning a float quantity into integer microseconds
+# key -> (dataclass field, converter tag); converter tags: token, int, float,
+# or an integer scale turning a float quantity into integer microseconds
 _SCENARIO_KEYS = {
     "name": ("name", "token"),
     "codec": ("codec", "token"),
@@ -265,8 +219,7 @@ def _convert(section: str, key: str, raw: str, how):
             return int(raw)
         if how == "float":
             return float(raw)
-        _suffix, scale = how
-        return round(float(raw) * scale)
+        return round(float(raw) * how)
     except ValueError:
         raise ParseError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
@@ -350,9 +303,8 @@ def _section(obj, keymap, head: dict | None = None) -> dict:
     block = dict(head or {})
     for key, (field_name, how) in keymap.items():
         value = getattr(obj, field_name)
-        if how not in ("token", "int", "float"):
-            _suffix, scale = how
-            value /= scale
+        if isinstance(how, int):
+            value /= how
             if value.is_integer():
                 value = int(value)
         block[key] = value

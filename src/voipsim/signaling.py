@@ -48,19 +48,17 @@ class ProtocolViolation(SipError):
 class SipAgent:
     def __init__(self, uri: str):
         self.uri = uri
-        self.registered = False
 
 
 class SipProxy:
-    """URI registry; re-registration replaces the location in place."""
+    """URI registry; re-registration replaces the entry in place."""
 
     def __init__(self, name: str = "proxy"):
         self.name = name
         self.registry: dict[str, str] = {}
 
-    def register(self, agent: SipAgent, location: str | None = None) -> None:
-        self.registry[agent.uri] = location if location is not None else agent.uri
-        agent.registered = True
+    def register(self, agent: SipAgent) -> None:
+        self.registry[agent.uri] = agent.uri
 
     def lookup(self, uri: str) -> str:
         try:
@@ -132,8 +130,7 @@ class SessionLayer:
     # -- session control -------------------------------------------------
 
     def initiate(self, caller: str, callee: str, on_established, on_closed) -> SipSession:
-        agent = self.agents.get(caller)
-        if agent is None or not agent.registered:
+        if caller not in self.agents:
             raise SipError(f"caller {caller} is not registered")
         try:
             self.proxy.lookup(callee)

@@ -126,14 +126,13 @@ class Simulator:
     is lazy (fn tombstoned to None) so schedule/cancel stay O(log n).
     """
 
-    def __init__(self, master_seed: int = 1, trace=None):
+    def __init__(self, master_seed: int = 1):
         self.now = 0
         self.rng = RngManager(master_seed)
         self.stats = RunStats()
         self._heap: list[list] = []
         self._pending: dict[int, list] = {}
         self._next_seq = 0
-        self._trace = trace  # writable text stream or None
 
     def schedule(self, fire_at: int, fn, arg=None, target: str = "", kind: str = "") -> int:
         """Enqueue fn(arg) to run at fire_at; returns a cancellable event id."""
@@ -171,7 +170,6 @@ class Simulator:
         heap = self._heap
         pending = self._pending
         stats = self.stats
-        trace = self._trace
         while heap and heap[0][0] <= t_end:
             entry = heappop(heap)
             fn = entry[2]
@@ -180,8 +178,6 @@ class Simulator:
             self.now = entry[0]
             del pending[entry[1]]
             stats.events_processed += 1
-            if trace is not None:
-                trace.write(f"{entry[0]} {entry[1]} {entry[4]} {entry[5]}\n")
             try:
                 fn(entry[3])
             except Exception as exc:

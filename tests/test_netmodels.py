@@ -9,12 +9,15 @@ from voipsim.netmodels import (
     DROP_CLOUD_LOSS,
     DROP_COLLISION_RETRY,
     DROP_QUEUE_OVERFLOW,
+    CloudSpec,
     Fabric,
     IpCloud,
     PathTracer,
     UmtsCell,
+    UmtsParams,
     UnknownEndpoint,
     WifiCell,
+    WifiParams,
 )
 from voipsim.simcore import Simulator, millis, seconds
 
@@ -33,21 +36,21 @@ class Probe:
         self.dropped.append((item, reason))
 
 
-def wifi_fixture(n_stations=2, **cell_kwargs):
+def wifi_fixture(n_stations=2, **params):
     sim = Simulator(master_seed=7)
-    cloud = IpCloud(sim, base_delay_us=0, jitter_half_width_us=0, loss_prob=0.0)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=0, jitter_half_width_us=0, loss_prob=0.0))
     fabric = Fabric(sim, cloud)
     cell = WifiCell(sim, "lan", [f"lan-ws{i}" for i in range(1, n_stations + 1)],
-                    **cell_kwargs)
+                    WifiParams(**params))
     fabric.attach_cell(cell)
     return sim, fabric, cell
 
 
-def umts_fixture(tracer=None, **cell_kwargs):
+def umts_fixture(tracer=None, **params):
     sim = Simulator(master_seed=7)
-    cloud = IpCloud(sim, base_delay_us=0, jitter_half_width_us=0, loss_prob=0.0)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=0, jitter_half_width_us=0, loss_prob=0.0))
     fabric = Fabric(sim, cloud, tracer)
-    cell = UmtsCell(sim, "ran", ["ran-ws1", "ran-ws2"], **cell_kwargs)
+    cell = UmtsCell(sim, "ran", ["ran-ws1", "ran-ws2"], UmtsParams(**params))
     fabric.attach_cell(cell)
     return sim, fabric, cell
 
@@ -65,6 +68,7 @@ def test_wifi_exchange_time_components():
 @pytest.mark.parametrize("kwargs", [
     {"cw_min": -5}, {"cw_min": 31, "cw_max": 31}, {"slot_us": 0}, {"queue_cap": 0},
     {"retry_limit": 0}, {"sifs_us": -1}, {"difs_us": -1}, {"phy_mac_overhead_bytes": -1},
+    {"data_rate_bps": 0}, {"data_rate_bps": -11_000_000},
 ])
 def test_wifi_rejects_degenerate_parameters(kwargs):
     with pytest.raises(ValueError):
@@ -212,7 +216,7 @@ def saturated_collision_probability(n, seed, run_s):
     counting down at the end; every successful attempt is one delivery,
     except at most one exchange still on the air."""
     sim = Simulator(master_seed=seed)
-    cloud = IpCloud(sim, base_delay_us=0, jitter_half_width_us=0, loss_prob=0)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=0, jitter_half_width_us=0, loss_prob=0))
     fabric = Fabric(sim, cloud)
     stations = [f"lan-ws{i}" for i in range(1, n + 1)]
     cell = WifiCell(sim, "lan", stations)
@@ -250,7 +254,7 @@ def test_wifi_saturation_matches_bianchi(n, p_fixed_point):
 def test_wifi_contention_widens_delay_spread():
     def spread(n_stations, seed):
         sim = Simulator(master_seed=seed)
-        cloud = IpCloud(sim, base_delay_us=0, jitter_half_width_us=0, loss_prob=0)
+        cloud = IpCloud(sim, CloudSpec(base_delay_us=0, jitter_half_width_us=0, loss_prob=0))
         fabric = Fabric(sim, cloud)
         stations = [f"lan-ws{i}" for i in range(1, n_stations + 1)]
         fabric.attach_cell(WifiCell(sim, "lan", stations))
@@ -271,6 +275,14 @@ def test_wifi_contention_widens_delay_spread():
 
 
 # -- UMTS --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tti_us": 0}, {"queue_cap": 0}, {"max_rlc_retx": -1},
+])
+def test_umts_rejects_degenerate_parameters(kwargs):
+    with pytest.raises(ValueError):
+        umts_fixture(**kwargs)
 
 
 def test_umts_lone_packet_on_boundary_is_pipeline_sum():
@@ -350,10 +362,10 @@ def umts_pair_fixture(tracer=None, *, up_bler, cloud_us=millis(30), seed=7):
     """Two UMTS cells over a fixed cloud; the downlink cell never fails, and
     its CN delay puts downlink arrivals off the TTI grid."""
     sim = Simulator(master_seed=seed)
-    cloud = IpCloud(sim, base_delay_us=cloud_us, jitter_half_width_us=0, loss_prob=0.0)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=cloud_us, jitter_half_width_us=0, loss_prob=0.0))
     fabric = Fabric(sim, cloud, tracer)
-    up = UmtsCell(sim, "a", ["a-ws1"], bler=up_bler, max_rlc_retx=2)
-    down = UmtsCell(sim, "b", ["b-ws1"], bler=0.0, cn_delay_us=25_300)
+    up = UmtsCell(sim, "a", ["a-ws1"], UmtsParams(bler=up_bler, max_rlc_retx=2))
+    down = UmtsCell(sim, "b", ["b-ws1"], UmtsParams(bler=0.0, cn_delay_us=25_300))
     fabric.attach_cell(up)
     fabric.attach_cell(down)
     return sim, fabric, up, down
@@ -361,9 +373,9 @@ def umts_pair_fixture(tracer=None, *, up_bler, cloud_us=millis(30), seed=7):
 
 def umts_oracle_delivery(t_send, k, up, cloud_us, down):
     """TTI alignment + (k+1) TTIs + pipe + cloud + pipe + downlink air."""
-    t_air_up = up.next_tti_boundary(t_send) + (k + 1) * up.tti_us
+    t_air_up = up.next_tti_boundary(t_send) + (k + 1) * up.params.tti_us
     t_down = t_air_up + up.pipe_us + cloud_us + down.pipe_us
-    return down.next_tti_boundary(t_down) + down.tti_us
+    return down.next_tti_boundary(t_down) + down.params.tti_us
 
 
 class _AttemptRng:
@@ -387,8 +399,8 @@ def test_umts_pair_delivery_matches_analytic_oracle(k):
     sim.schedule(t_send, _send_one(fabric, probe, "p", src="a-ws1", dst="b-ws1"),
                  kind="feed")
     sim.run_until(seconds(2))
-    assert up._rng.calls == min(k + 1, up.max_rlc_retx + 1)
-    if k > up.max_rlc_retx:
+    assert up._rng.calls == min(k + 1, up.params.max_rlc_retx + 1)
+    if k > up.params.max_rlc_retx:
         assert probe.dropped == [("p", DROP_BLER_RETX)]
         assert probe.delivered == []
         return
@@ -408,12 +420,12 @@ def test_umts_pair_loss_matches_bler_power():
     sim.run_until(seconds(n * 0.04 + 1))
     assert len(probe.delivered) + len(probe.dropped) == n
     assert all(reason == DROP_BLER_RETX for _i, reason in probe.dropped)
-    p = bler ** (up.max_rlc_retx + 1)
+    p = bler ** (up.params.max_rlc_retx + 1)
     sigma = (p * (1 - p) / n) ** 0.5
     assert abs(len(probe.dropped) / n - p) <= 4 * sigma
     # every delivery is the oracle's time for some whole number of retries
     oracle = {umts_oracle_delivery(3_000, k, up, millis(30), down) - 3_000: k
-              for k in range(up.max_rlc_retx + 1)}
+              for k in range(up.params.max_rlc_retx + 1)}
     for i, t_recv in probe.delivered:
         assert t_recv - i * 40_000 - 3_000 in oracle
 
@@ -423,7 +435,7 @@ def test_umts_pair_loss_matches_bler_power():
 
 def test_cloud_constant_when_width_zero():
     sim = Simulator(master_seed=1)
-    cloud = IpCloud(sim, base_delay_us=millis(30), jitter_half_width_us=0, loss_prob=0)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=millis(30), jitter_half_width_us=0, loss_prob=0))
     fabric = Fabric(sim, cloud)
     probe = Probe()
     for k in range(100):
@@ -435,8 +447,8 @@ def test_cloud_constant_when_width_zero():
 
 def test_cloud_uniform_delay_sampling():
     sim = Simulator(master_seed=2)
-    cloud = IpCloud(sim, base_delay_us=millis(30), jitter_half_width_us=millis(5),
-                    loss_prob=0)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=millis(30),
+                                   jitter_half_width_us=millis(5), loss_prob=0))
     fabric = Fabric(sim, cloud)
     probe = Probe()
     n = 100_000
@@ -453,7 +465,7 @@ def test_cloud_uniform_delay_sampling():
 
 def test_cloud_loss_rate_binomial():
     sim = Simulator(master_seed=3)
-    cloud = IpCloud(sim, base_delay_us=0, jitter_half_width_us=0, loss_prob=0.02)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=0, jitter_half_width_us=0, loss_prob=0.02))
     fabric = Fabric(sim, cloud)
     probe = Probe()
     n = 100_000
@@ -469,7 +481,7 @@ def test_cloud_loss_rate_binomial():
 def test_cloud_rejects_negative_delay_range():
     sim = Simulator()
     with pytest.raises(ValueError):
-        IpCloud(sim, base_delay_us=millis(3), jitter_half_width_us=millis(5))
+        IpCloud(sim, CloudSpec(base_delay_us=millis(3), jitter_half_width_us=millis(5)))
 
 
 # -- routing -----------------------------------------------------------------
@@ -477,7 +489,7 @@ def test_cloud_rejects_negative_delay_range():
 
 def build_mixed_fabric():
     sim = Simulator(master_seed=9)
-    cloud = IpCloud(sim, base_delay_us=millis(30), jitter_half_width_us=0, loss_prob=0)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=millis(30), jitter_half_width_us=0, loss_prob=0))
     fabric = Fabric(sim, cloud)
     fabric.attach_cell(WifiCell(sim, "west", ["west-ws1", "west-ws2"]))
     fabric.attach_cell(UmtsCell(sim, "east", ["east-ws1", "east-ws2"]))
@@ -486,7 +498,7 @@ def build_mixed_fabric():
 
 def test_route_wifi_to_wifi_is_three_segments():
     sim = Simulator(master_seed=9)
-    cloud = IpCloud(sim, base_delay_us=0, jitter_half_width_us=0, loss_prob=0)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=0, jitter_half_width_us=0, loss_prob=0))
     fabric = Fabric(sim, cloud)
     fabric.attach_cell(WifiCell(sim, "a", ["a-ws1"]))
     fabric.attach_cell(WifiCell(sim, "b", ["b-ws1"]))
@@ -505,7 +517,7 @@ def test_route_mixed_is_asymmetric():
 
 def test_route_umts_to_umts():
     sim = Simulator(master_seed=9)
-    cloud = IpCloud(sim, base_delay_us=0, jitter_half_width_us=0, loss_prob=0)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=0, jitter_half_width_us=0, loss_prob=0))
     fabric = Fabric(sim, cloud)
     fabric.attach_cell(UmtsCell(sim, "a", ["a-ws1"]))
     fabric.attach_cell(UmtsCell(sim, "b", ["b-ws1"]))
@@ -516,7 +528,7 @@ def test_route_umts_to_umts():
 
 def test_route_intra_cell_skips_cloud():
     sim = Simulator(master_seed=9)
-    cloud = IpCloud(sim, base_delay_us=0, jitter_half_width_us=0, loss_prob=0)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=0, jitter_half_width_us=0, loss_prob=0))
     fabric = Fabric(sim, cloud)
     fabric.attach_cell(WifiCell(sim, "a", ["a-ws1", "a-ws2"]))
     assert fabric.route("a-ws1", "a-ws2") == ["wifi-up:a", "wifi-down:a"]
@@ -538,11 +550,11 @@ def test_proxy_reachable_from_both_sides():
 def test_segment_times_are_contiguous_and_ordered():
     sim = Simulator(master_seed=4)
     tracer = PathTracer()
-    cloud = IpCloud(sim, base_delay_us=millis(30), jitter_half_width_us=millis(2),
-                    loss_prob=0)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=millis(30),
+                                   jitter_half_width_us=millis(2), loss_prob=0))
     fabric = Fabric(sim, cloud, tracer)
     fabric.attach_cell(WifiCell(sim, "west", ["west-ws1"]))
-    fabric.attach_cell(UmtsCell(sim, "east", ["east-ws1"], bler=0.3, max_rlc_retx=3))
+    fabric.attach_cell(UmtsCell(sim, "east", ["east-ws1"], UmtsParams(bler=0.3, max_rlc_retx=3)))
     probe = Probe()
     for k in range(200):
         sim.schedule(k * 20_000, _send_one(fabric, probe, k, src="west-ws1",

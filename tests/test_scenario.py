@@ -194,6 +194,7 @@ def test_validation_rules():
     ("calls", "answer_delay_s = -1", "answer_delay_s must be >= 0"),
     ("calls", "invite_timeout_s = 0", "invite_timeout_s must be > 0"),
     ("calls", "answer_delay_s = 40", "invite_timeout_s must exceed answer_delay_s"),
+    ("scenario", "warm_up_s = -5", "warm_up_s must be >= 0"),
 ])
 def test_inputs_that_used_to_fault_at_run_time_rejected(section, key, message):
     # each of these passed validation and then raised inside a handler, or

@@ -1,7 +1,6 @@
 """Event loop ordering, cancellation, seeded streams and exponential sampling."""
 
 import hashlib
-import io
 import math
 import random
 
@@ -114,16 +113,6 @@ def test_handler_fault_carries_partial_stats():
         sim.run_until(100)
     assert excinfo.value.stats.events_processed == 2
     assert excinfo.value.stats.end_ticks == 20
-
-
-def test_trace_lists_fired_events():
-    buf = io.StringIO()
-    sim = Simulator(trace=buf)
-    sim.schedule(10, lambda _: None, target="ws1", kind="tick")
-    sim.schedule(20, lambda _: None, target="ws2", kind="tock")
-    sim.run_until(100)
-    lines = buf.getvalue().splitlines()
-    assert lines == ["10 0 ws1 tick", "20 1 ws2 tock"]
 
 
 def test_conservation_check():
