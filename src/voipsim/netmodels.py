@@ -249,8 +249,7 @@ class WifiCell:
     def _arm_round(self, t0: int, min_b: int) -> None:
         self._round_t0 = t0
         fire_at = max(self.sim.now, t0 + min_b * self.params.slot_us)
-        self._round_event = self.sim.schedule(fire_at, self._round_fire,
-                                              target=self.name, kind="wifi-round")
+        self._round_event = self.sim.schedule(fire_at, self._round_fire, kind="wifi-round")
 
     def _round_fire(self, _arg) -> None:
         self._round_event = None
@@ -377,8 +376,7 @@ class UmtsCell:
     def _air_start(self, bearer: _Bearer, env: Envelope) -> None:
         bearer.busy = True
         first_end = self.next_tti_boundary(self.sim.now) + self.params.tti_us
-        self.sim.schedule(first_end, self._attempt_end, (bearer, env, 1),
-                          target=self.name, kind="umts-air")
+        self.sim.schedule(first_end, self._attempt_end, (bearer, env, 1), kind="umts-air")
 
     def _attempt_end(self, arg) -> None:
         bearer, env, attempt = arg
@@ -387,8 +385,7 @@ class UmtsCell:
             self.fabric.segment_done(env)
         elif attempt <= p.max_rlc_retx:
             self.sim.schedule_in(p.tti_us, self._attempt_end,
-                                 (bearer, env, attempt + 1),
-                                 target=self.name, kind="umts-air")
+                                 (bearer, env, attempt + 1), kind="umts-air")
             return
         else:
             self.fabric.segment_drop(env, DROP_BLER_RETX)

@@ -36,10 +36,11 @@ class RunOutput:
     session_layer: SessionLayer = None
 
 
+_CELLS = {"wifi": WifiCell, "umts": UmtsCell}
+
+
 def build_cell(sim: Simulator, subnet: SubnetSpec):
-    if subnet.kind == "wifi":
-        return WifiCell(sim, subnet.name, subnet.workstations(), subnet.wifi)
-    return UmtsCell(sim, subnet.name, subnet.workstations(), subnet.umts)
+    return _CELLS[subnet.kind](sim, subnet.name, subnet.workstations(), subnet.params)
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -124,16 +125,14 @@ def run_scenario(spec: ScenarioSpec, *, seed: int | None = None,
             _write_manifest(manifest_path, spec, seed, fault.stats, {}, partial=True)
         raise
 
-    per_direction = {DIR_FORWARD: [], DIR_REVERSE: []}
-    for call in scheduler.calls:
-        for stream in call.streams:
-            per_direction[stream.direction].append(records_from_stream(stream))
+    # each stream's records are folded as they are made, never all held
     buckets = {
-        direction: bucketize(stream_records, codec,
+        direction: bucketize((records_from_stream(call.streams[direction])
+                              for call in scheduler.calls), codec,
                              run_length_us=spec.run_length_us,
                              width_us=spec.bucket_width_us,
                              warm_up_us=spec.warm_up_us)
-        for direction, stream_records in per_direction.items()
+        for direction in (DIR_FORWARD, DIR_REVERSE)
     }
 
     out = RunOutput(scenario=spec.name, seed=seed, stats=stats,

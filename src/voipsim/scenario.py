@@ -4,6 +4,13 @@ A scenario is exactly two subnets joined by an IP cloud plus one call
 process.  parse and emit round-trip: emit writes every resolved field, so a
 scenario's digest changes exactly when some field does.
 
+Every config key is derived from one dataclass field, in field order: a
+field named *_us (an integer microsecond count) is keyed *_<unit> and read
+as a float in that unit; any other int, float or str field keeps its name
+and type.  The units are s for [scenario] (ScenarioSpec) and [calls]
+(CallSpec), us for a wifi subnet (WifiParams), and ms for a umts subnet
+(UmtsParams) and [cloud] (CloudSpec).
+
 Grammar (all keys optional unless noted; values are numbers or names):
 
     [scenario]
@@ -18,10 +25,7 @@ Grammar (all keys optional unless noted; values are numbers or names):
     [subnet.<name>]             ; exactly two such sections
     kind = wifi                 ; wifi | umts  (required)
     stations = 4
-    ; wifi keys: data_rate_bps slot_us sifs_us difs_us cw_min cw_max
-    ;            retry_limit phy_mac_overhead_bytes queue_cap
-    ; umts keys: tti_ms bler max_rlc_retx nodeb_rnc_delay_ms rnc_proc_delay_ms
-    ;            cn_delay_ms air_interleave_delay_ms queue_cap
+    ; plus the WifiParams or UmtsParams keys, e.g. cw_min = 31, tti_ms = 10
 
     [cloud]
     base_delay_ms = 30
@@ -42,10 +46,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .netmodels import CloudSpec, UmtsParams, WifiParams
-from .simcore import SimError
+from .simcore import US_PER_MS, US_PER_S, SimError
 from .traffic import CODECS, DEFAULT_CODEC
 
 NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -59,13 +63,21 @@ class ValidationError(SimError):
     """Config parsed but breaks a scenario invariant."""
 
 
+# a subnet's kind is the type of its params object
+_PARAMS = {"wifi": WifiParams, "umts": UmtsParams}
+_KIND_OF = {cls: kind for kind, cls in _PARAMS.items()}
+
+
 @dataclass(frozen=True)
 class SubnetSpec:
     name: str
-    kind: str  # wifi | umts
+    params: WifiParams | UmtsParams
     stations: int = 4
-    wifi: WifiParams | None = None
-    umts: UmtsParams | None = None
+
+    @property
+    def kind(self) -> str | None:
+        """wifi or umts, read off the type of params; None for any other."""
+        return _KIND_OF.get(type(self.params))
 
     def workstations(self) -> list[str]:
         return [f"{self.name}-ws{i}" for i in range(1, self.stations + 1)]
@@ -118,21 +130,14 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
     for sub in spec.subnets:
         if not NAME_RE.match(sub.name):
             fail(f"subnet name {sub.name!r} must be a plain token")
-        if sub.kind not in ("wifi", "umts"):
+        if sub.kind is None:
             fail(f"subnet {sub.name}: kind must be wifi or umts")
         if sub.stations < 1:
             fail(f"subnet {sub.name}: stations must be >= 1")
-        if sub.kind == "wifi":
-            if sub.wifi is None or sub.umts is not None:
-                fail(f"subnet {sub.name}: wifi subnet needs wifi parameters only")
-            check_params(sub.wifi, _WIFI_KEYS, f"subnet {sub.name}: ")
-        else:
-            if sub.umts is None or sub.wifi is not None:
-                fail(f"subnet {sub.name}: umts subnet needs umts parameters only")
-            if not 0 <= sub.umts.bler < 1:
-                # the cell also takes 1.0, a test hook that drops every packet
-                fail(f"subnet {sub.name}: bler must be in [0, 1)")
-            check_params(sub.umts, _UMTS_KEYS, f"subnet {sub.name}: ")
+        if sub.kind == "umts" and not 0 <= sub.params.bler < 1:
+            # the cell also takes 1.0, a test hook that drops every packet
+            fail(f"subnet {sub.name}: bler must be in [0, 1)")
+        check_params(sub.params, _KEYS[sub.kind], f"subnet {sub.name}: ")
     if spec.codec not in CODECS:
         fail(f"unknown codec {spec.codec!r} (have {', '.join(sorted(CODECS))})")
     if spec.warm_up_us < 0:
@@ -143,7 +148,7 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
         fail("bucket_width_s must be > 0")
     if spec.repetitions < 1:
         fail("repetitions must be >= 1")
-    check_params(spec.cloud, _CLOUD_KEYS, "cloud ")
+    check_params(spec.cloud, _KEYS["cloud"], "cloud ")
     if spec.calls.caller_subnet not in names or spec.calls.callee_subnet not in names:
         fail("calls must reference the declared subnets")
     if spec.calls.inter_arrival_us <= 0 or spec.calls.duration_mean_us <= 0:
@@ -160,73 +165,48 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
 
 # -- parsing -----------------------------------------------------------------
 
-_US = 1
-_MS = 1_000
-_S = 1_000_000
+_SCALE = {"us": 1, "ms": US_PER_MS, "s": US_PER_S}
+# field annotations are strings here (from __future__ import annotations)
+_CONVERTERS = {"int": int, "float": float, "str": str.strip}
 
-# key -> (dataclass field, converter tag); converter tags: token, int, float,
-# or an integer scale turning a float quantity into integer microseconds
-_SCENARIO_KEYS = {
-    "name": ("name", "token"),
-    "codec": ("codec", "token"),
-    "run_length_s": ("run_length_us", _S),
-    "warm_up_s": ("warm_up_us", _S),
-    "bucket_width_s": ("bucket_width_us", _S),
-    "master_seed": ("master_seed", "int"),
-    "repetitions": ("repetitions", "int"),
-}
-_WIFI_KEYS = {
-    "data_rate_bps": ("data_rate_bps", "int"),
-    "slot_us": ("slot_us", _US),
-    "sifs_us": ("sifs_us", _US),
-    "difs_us": ("difs_us", _US),
-    "cw_min": ("cw_min", "int"),
-    "cw_max": ("cw_max", "int"),
-    "retry_limit": ("retry_limit", "int"),
-    "phy_mac_overhead_bytes": ("phy_mac_overhead_bytes", "int"),
-    "queue_cap": ("queue_cap", "int"),
-}
-_UMTS_KEYS = {
-    "tti_ms": ("tti_us", _MS),
-    "bler": ("bler", "float"),
-    "max_rlc_retx": ("max_rlc_retx", "int"),
-    "nodeb_rnc_delay_ms": ("nodeb_rnc_delay_us", _MS),
-    "rnc_proc_delay_ms": ("rnc_proc_delay_us", _MS),
-    "cn_delay_ms": ("cn_delay_us", _MS),
-    "air_interleave_delay_ms": ("air_interleave_delay_us", _MS),
-    "queue_cap": ("queue_cap", "int"),
-}
-_CLOUD_KEYS = {
-    "base_delay_ms": ("base_delay_us", _MS),
-    "jitter_half_width_ms": ("jitter_half_width_us", _MS),
-    "loss_prob": ("loss_prob", "float"),
-}
-_CALLS_KEYS = {
-    "inter_arrival_s": ("inter_arrival_us", _S),
-    "duration_mean_s": ("duration_mean_us", _S),
-    "caller_subnet": ("caller_subnet", "token"),
-    "callee_subnet": ("callee_subnet", "token"),
-    "answer_delay_s": ("answer_delay_us", _S),
-    "invite_timeout_s": ("invite_timeout_us", _S),
+
+def _keymap(cls, unit: str) -> dict:
+    """Config key -> (dataclass field, how) for cls, in field order, by the
+    rule in the module docstring; how is the integer scale from unit to
+    microseconds, or the converter for the field's type.  Nested sections
+    get no key."""
+    keymap = {}
+    for f in fields(cls):
+        if f.name.endswith("_us"):
+            keymap[f.name[:-2] + unit] = (f.name, _SCALE[unit])
+        elif f.type in _CONVERTERS:
+            keymap[f.name] = (f.name, _CONVERTERS[f.type])
+    return keymap
+
+
+# one key table per section, and one per subnet kind
+_KEYS = {
+    "scenario": _keymap(ScenarioSpec, "s"),
+    "wifi": _keymap(WifiParams, "us"),
+    "umts": _keymap(UmtsParams, "ms"),
+    "cloud": _keymap(CloudSpec, "ms"),
+    "calls": _keymap(CallSpec, "s"),
 }
 
 
 def _convert(section: str, key: str, raw: str, how):
     try:
-        if how == "token":
-            return raw.strip()
-        if how == "int":
-            return int(raw)
-        if how == "float":
-            return float(raw)
-        return round(float(raw) * how)
+        if isinstance(how, int):
+            return round(float(raw) * how)
+        return how(raw)
     except ValueError:
         raise ParseError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
 
-def _section_kwargs(section: str, items, keymap, skip=()) -> dict:
+def _section_kwargs(cp, section: str, keymap, skip=()) -> dict:
+    """Field values for one section's keys (none if the section is absent)."""
     out = {}
-    for key, raw in items:
+    for key, raw in cp.items(section) if cp.has_section(section) else []:
         if key in skip:
             continue
         if key not in keymap:
@@ -250,31 +230,21 @@ def parse_scenario_text(text: str, default_name: str = "") -> ScenarioSpec:
         if section not in known:
             raise ParseError(f"unknown section [{section}]")
 
-    top = _section_kwargs("scenario", cp.items("scenario") if cp.has_section("scenario") else [],
-                          _SCENARIO_KEYS)
+    top = _section_kwargs(cp, "scenario", _KEYS["scenario"])
     subnets = []
     for section in subnet_sections:
         name = section[len("subnet."):]
-        items = dict(cp.items(section))
-        kind = items.get("kind")
-        if kind not in ("wifi", "umts"):
+        kind = cp[section].get("kind")
+        if kind not in _PARAMS:
             raise ParseError(f"[{section}] kind must be wifi or umts")
-        stations_raw = items.get("stations", "4")
-        stations = _convert(section, "stations", stations_raw, "int")
-        keymap = _WIFI_KEYS if kind == "wifi" else _UMTS_KEYS
-        params = _section_kwargs(section, items.items(), keymap,
-                                 skip=("kind", "stations"))
-        if kind == "wifi":
-            subnets.append(SubnetSpec(name, kind, stations, wifi=WifiParams(**params)))
-        else:
-            subnets.append(SubnetSpec(name, kind, stations, umts=UmtsParams(**params)))
+        stations = _convert(section, "stations", cp[section].get("stations", "4"), int)
+        params = _section_kwargs(cp, section, _KEYS[kind], skip=("kind", "stations"))
+        subnets.append(SubnetSpec(name, _PARAMS[kind](**params), stations))
     if len(subnets) != 2:
         raise ValidationError(f"exactly 2 [subnet.*] sections required, got {len(subnets)}")
 
-    cloud = CloudSpec(**_section_kwargs(
-        "cloud", cp.items("cloud") if cp.has_section("cloud") else [], _CLOUD_KEYS))
-    calls_kwargs = _section_kwargs(
-        "calls", cp.items("calls") if cp.has_section("calls") else [], _CALLS_KEYS)
+    cloud = CloudSpec(**_section_kwargs(cp, "cloud", _KEYS["cloud"]))
+    calls_kwargs = _section_kwargs(cp, "calls", _KEYS["calls"])
     calls_kwargs.setdefault("caller_subnet", subnets[0].name)
     calls_kwargs.setdefault("callee_subnet", subnets[1].name)
     calls = CallSpec(**calls_kwargs)
@@ -313,13 +283,12 @@ def _section(obj, keymap, head: dict | None = None) -> dict:
 
 def spec_as_dict(spec: ScenarioSpec) -> dict:
     """Fully resolved key/value view, one block per section in file order."""
-    out = {"scenario": _section(spec, _SCENARIO_KEYS)}
+    out = {"scenario": _section(spec, _KEYS["scenario"])}
     for sub in spec.subnets:
-        params, keymap = (sub.wifi, _WIFI_KEYS) if sub.kind == "wifi" else (sub.umts, _UMTS_KEYS)
         out[f"subnet.{sub.name}"] = _section(
-            params, keymap, {"kind": sub.kind, "stations": sub.stations})
-    out["cloud"] = _section(spec.cloud, _CLOUD_KEYS)
-    out["calls"] = _section(spec.calls, _CALLS_KEYS)
+            sub.params, _KEYS[sub.kind], {"kind": sub.kind, "stations": sub.stations})
+    out["cloud"] = _section(spec.cloud, _KEYS["cloud"])
+    out["calls"] = _section(spec.calls, _KEYS["calls"])
     return out
 
 
@@ -357,11 +326,11 @@ def _builtin(name: str, sub1: SubnetSpec, sub2: SubnetSpec) -> ScenarioSpec:
 
 
 def _wifi_city(city: str) -> SubnetSpec:
-    return SubnetSpec(city, "wifi", 4, wifi=WifiParams())
+    return SubnetSpec(city, WifiParams())
 
 
 def _umts_city(city: str) -> SubnetSpec:
-    return SubnetSpec(city, "umts", 4, umts=_CAL_UMTS)
+    return SubnetSpec(city, _CAL_UMTS)
 
 
 def builtin_scenario(name: str) -> ScenarioSpec:

@@ -33,38 +33,12 @@ class SipError(SimError):
     pass
 
 
-class NotFound(SipError):
-    """Registry lookup of an unregistered URI."""
-
-
 class CalleeUnregistered(SipError):
     pass
 
 
 class ProtocolViolation(SipError):
     """Message illegal in the session's current state."""
-
-
-class SipAgent:
-    def __init__(self, uri: str):
-        self.uri = uri
-
-
-class SipProxy:
-    """URI registry; re-registration replaces the entry in place."""
-
-    def __init__(self, name: str = "proxy"):
-        self.name = name
-        self.registry: dict[str, str] = {}
-
-    def register(self, agent: SipAgent) -> None:
-        self.registry[agent.uri] = agent.uri
-
-    def lookup(self, uri: str) -> str:
-        try:
-            return self.registry[uri]
-        except KeyError:
-            raise NotFound(uri) from None
 
 
 class SipMessage:
@@ -112,30 +86,21 @@ class SessionLayer:
         self.proxy_proc_us = proxy_proc_us
         self.proxy_node = proxy_node
         self.session_log = session_log
-        self.proxy = SipProxy(proxy_node)
-        self.agents: dict[str, SipAgent] = {}
+        self.registered: set[str] = set()  # URIs the proxy can route to
         self.sessions: list[SipSession] = []
         self._next_session_id = 0
 
-    def add_agent(self, uri: str) -> SipAgent:
-        agent = SipAgent(uri)
-        self.agents[uri] = agent
-        self.proxy.register(agent)
-        return agent
-
     def register_all(self, uris) -> None:
-        for uri in uris:
-            self.add_agent(uri)
+        """Register each URI; registering one again changes nothing."""
+        self.registered.update(uris)
 
     # -- session control -------------------------------------------------
 
     def initiate(self, caller: str, callee: str, on_established, on_closed) -> SipSession:
-        if caller not in self.agents:
+        if caller not in self.registered:
             raise SipError(f"caller {caller} is not registered")
-        try:
-            self.proxy.lookup(callee)
-        except NotFound:
-            raise CalleeUnregistered(callee) from None
+        if callee not in self.registered:
+            raise CalleeUnregistered(callee)
         session = SipSession(self._next_session_id, caller, callee, self.sim.now)
         self._next_session_id += 1
         session.on_established = on_established

@@ -122,8 +122,8 @@ def exp_sample(rng: random.Random, mean_ticks: int, u: float | None = None) -> i
 class Simulator:
     """Single-threaded event loop over a future-event list.
 
-    Events are heap entries [fire_at, seq, fn, arg, target, kind]; cancellation
-    is lazy (fn tombstoned to None) so schedule/cancel stay O(log n).
+    Events are heap entries [fire_at, seq, fn, arg, kind]; cancellation is
+    lazy (fn tombstoned to None) so schedule/cancel stay O(log n).
     """
 
     def __init__(self, master_seed: int = 1):
@@ -134,13 +134,14 @@ class Simulator:
         self._pending: dict[int, list] = {}
         self._next_seq = 0
 
+    # target is unused; perfbench/layers.py passes it, and kind after it, by position
     def schedule(self, fire_at: int, fn, arg=None, target: str = "", kind: str = "") -> int:
         """Enqueue fn(arg) to run at fire_at; returns a cancellable event id."""
         if fire_at < self.now:
             raise SchedulingInPast(f"fire_at={fire_at} < now={self.now}")
         seq = self._next_seq
         self._next_seq = seq + 1
-        entry = [fire_at, seq, fn, arg, target, kind]
+        entry = [fire_at, seq, fn, arg, kind]
         heappush(self._heap, entry)
         self._pending[seq] = entry
         return seq
@@ -183,7 +184,7 @@ class Simulator:
             except Exception as exc:
                 stats.end_ticks = self.now
                 raise EventHandlerFault(
-                    f"handler for event seq={entry[1]} kind={entry[5]!r} raised: {exc!r}",
+                    f"handler for event seq={entry[1]} kind={entry[4]!r} raised: {exc!r}",
                     stats,
                 ) from exc
         self.now = t_end

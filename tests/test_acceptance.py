@@ -240,8 +240,7 @@ def lone_flow_spec() -> ScenarioSpec:
     air = UmtsParams(bler=0.0)
     return validate(ScenarioSpec(
         name="lone-flow",
-        subnets=(SubnetSpec("left", "umts", 1, umts=air),
-                 SubnetSpec("right", "umts", 1, umts=air)),
+        subnets=(SubnetSpec("left", air, 1), SubnetSpec("right", air, 1)),
         cloud=CloudSpec(base_delay_us=30_000, jitter_half_width_us=0,
                         loss_prob=0.0),
         calls=CallSpec(inter_arrival_us=1_000_000,

@@ -4,7 +4,8 @@ perfbench/child.py drives voipsim through its public entry points and, when
 traced, wraps more of them by name.  A change that renames or reshapes one
 of those makes every benchmark run fail, so this test runs the child once
 untraced and once traced on a short mixed scenario and checks the record
-that perfbench/run.py reads.
+that perfbench/run.py reads, and that the traced run calls every entry
+point the benchmark wraps.
 """
 
 import hashlib
@@ -88,3 +89,34 @@ def test_child_record_has_what_the_benchmark_reads(results, traced):
 def test_traced_child_wraps_every_entry_point_and_keeps_the_csv(results):
     assert results[True]["trace"]["absent"] == []
     assert sha256_file(results[True]["csv"]) == sha256_file(results[False]["csv"])
+
+
+def installed_labels():
+    """Every label perfbench/layers.py installs, read off a dry install()."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from layers import Trace, install
+    finally:
+        sys.path.pop(0)
+
+    labels = set()
+
+    class Recorder(Trace):
+        def patch(self, owner, name, label, make):
+            labels.add(label)  # record only; leave the program unwrapped
+
+    install(Recorder())
+    return labels
+
+
+# the two wrappers that count under a name other than their label
+COUNTED_AS = {"simcore.schedule": "simcore.schedules", "simcore.cancel": "simcore.cancels"}
+
+
+def test_traced_child_reaches_every_wrapped_entry_point(results):
+    # a wrapped name the run never calls (say, one kept only as an import)
+    # leaves its metric reading 0
+    counts = results[True]["trace"]["n"]
+    labels = {COUNTED_AS.get(label, label) for label in installed_labels()}
+    assert len(labels) > 10
+    assert sorted(label for label in labels if not counts.get(label)) == []

@@ -90,10 +90,10 @@ def scenario_specs(draw):
     for name in ("left", "right"):
         stations = num("stations", 1, 4)
         if draw(st.sampled_from(("wifi", "umts"))) == "wifi":
-            subnets.append(SubnetSpec(name, "wifi", stations, wifi=WifiParams(**block(WIFI_RANGES))))
+            subnets.append(SubnetSpec(name, WifiParams(**block(WIFI_RANGES)), stations))
         else:
             umts = UmtsParams(bler=prob("bler"), **block(UMTS_RANGES))
-            subnets.append(SubnetSpec(name, "umts", stations, umts=umts))
+            subnets.append(SubnetSpec(name, umts, stations))
     return ScenarioSpec(
         name="prop",
         subnets=tuple(subnets),

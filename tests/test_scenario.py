@@ -79,8 +79,8 @@ def test_minimal_text_fills_defaults():
     assert spec.master_seed == 1 and spec.repetitions == 1
     left, right = spec.subnets
     assert (left.name, left.kind, left.stations) == ("left", "wifi", 4)
-    assert left.wifi == WifiParams() and left.umts is None
-    assert right.umts == UmtsParams() and right.wifi is None
+    assert left.params == WifiParams()
+    assert right.kind == "umts" and right.params == UmtsParams()
     # omitted [cloud] keeps the stock 30 +/- 5 ms lossless backbone
     assert spec.cloud == CloudSpec(30_000, 5_000, 0.0)
     # calls default to first subnet calling the second
@@ -93,10 +93,10 @@ def test_custom_text_parses_every_field():
     assert spec.name == "lab" and spec.codec == "g729"
     assert spec.run_length_us == 120_000_000 and spec.warm_up_us == 10_000_000
     alpha, beta = spec.subnets
-    assert alpha.wifi.data_rate_bps == 2_000_000
-    assert (alpha.wifi.cw_min, alpha.wifi.cw_max) == (15, 255)
+    assert alpha.params.data_rate_bps == 2_000_000
+    assert (alpha.params.cw_min, alpha.params.cw_max) == (15, 255)
     assert beta.stations == 6
-    assert beta.umts.tti_us == 20_000 and beta.umts.bler == 0.1
+    assert beta.params.tti_us == 20_000 and beta.params.bler == 0.1
     assert spec.cloud == CloudSpec(40_000, 3_000, 0.01)
     assert spec.calls.caller_subnet == "beta"
     assert spec.calls.invite_timeout_us == 16_000_000
@@ -235,10 +235,19 @@ def test_degenerate_access_parameters_rejected(kind, key, message):
 def test_duplicate_subnet_names_rejected():
     spec = ScenarioSpec(
         name="dup",
-        subnets=(SubnetSpec("x", "wifi", 1, wifi=WifiParams()),
-                 SubnetSpec("x", "wifi", 1, wifi=WifiParams())),
+        subnets=(SubnetSpec("x", WifiParams(), 1), SubnetSpec("x", WifiParams(), 1)),
         calls=CallSpec(caller_subnet="x", callee_subnet="x"))
     with pytest.raises(ValidationError, match="distinct"):
+        validate(spec)
+
+
+def test_params_of_neither_kind_rejected():
+    # a subnet's kind is the type of its params; any other type has no kind
+    spec = ScenarioSpec(
+        name="odd",
+        subnets=(SubnetSpec("x", CloudSpec(), 1), SubnetSpec("y", WifiParams(), 1)),
+        calls=CallSpec(caller_subnet="x", callee_subnet="y"))
+    with pytest.raises(ValidationError, match="subnet x: kind must be wifi or umts"):
         validate(spec)
 
 
@@ -253,7 +262,7 @@ def test_builtin_presets_are_valid(name):
     assert spec.cloud == CloudSpec(30_000, 0, 0.0)
     for sub in spec.subnets:
         if sub.kind == "umts":
-            assert sub.umts.bler == 0.3 and sub.umts.max_rlc_retx == 3
+            assert sub.params.bler == 0.3 and sub.params.max_rlc_retx == 3
 
 
 def test_builtin_unknown_name():
@@ -262,7 +271,7 @@ def test_builtin_unknown_name():
 
 
 def test_workstation_naming():
-    sub = SubnetSpec("hawaii", "wifi", 3, wifi=WifiParams())
+    sub = SubnetSpec("hawaii", WifiParams(), 3)
     assert sub.workstations() == ["hawaii-ws1", "hawaii-ws2", "hawaii-ws3"]
 
 

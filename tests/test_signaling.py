@@ -12,12 +12,9 @@ from voipsim.signaling import (
     RINGING_180,
     TERMINATING,
     CalleeUnregistered,
-    NotFound,
     SessionLayer,
-    SipAgent,
     SipError,
     SipMessage,
-    SipProxy,
 )
 from voipsim.simcore import Simulator, seconds
 
@@ -68,28 +65,14 @@ def make_layer(sim, fabric, **kwargs):
 # -- registry ----------------------------------------------------------------
 
 
-def test_register_and_lookup():
-    proxy = SipProxy()
-    agents = [SipAgent(f"ws{i}") for i in range(8)]
-    for agent in agents:
-        proxy.register(agent)
-    assert len(proxy.registry) == 8
-    assert proxy.lookup("ws3") == "ws3"
-
-
-def test_lookup_unregistered_raises():
-    proxy = SipProxy()
-    with pytest.raises(NotFound):
-        proxy.lookup("nobody")
-
-
-def test_reregistration_refreshes_in_place():
-    proxy = SipProxy()
-    agent = SipAgent("ws0")
-    proxy.register(agent)
-    proxy.register(agent)
-    assert len(proxy.registry) == 1
-    assert proxy.lookup("ws0") == "ws0"
+def test_reregistration_is_idempotent():
+    sim = Simulator()
+    layer = make_layer(sim, ZeroFabric(sim))
+    layer.register_all(["a", "b", "d"])
+    assert layer.registered == {"a", "b", "c", "d"}
+    session = layer.initiate("a", "d", None, None)
+    sim.run_until(0)
+    assert session.state == ESTABLISHED
 
 
 # -- handshake ---------------------------------------------------------------
@@ -177,7 +160,7 @@ def test_callee_unregistered_rejected():
 def test_unregistered_caller_rejected():
     sim = Simulator()
     layer = make_layer(sim, ZeroFabric(sim))
-    with pytest.raises(SipError):
+    with pytest.raises(SipError, match="caller ghost is not registered"):
         layer.initiate("ghost", "b", on_established=lambda s: None,
                        on_closed=lambda s: None)
 
