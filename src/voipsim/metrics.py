@@ -1,5 +1,6 @@
 """QoS metrics engine: transmission rating and MOS, jitter, delay, PDV.
 
+bucketize is the one place jitter, PDV and mouth-to-ear delay are defined.
 Packet arithmetic stays in integer microseconds (PDV in exact rationals)
 until the final conversion to float seconds, so results are reproducible to
 the last bit.  Jitter is the signed maximum over seq-consecutive delivered
@@ -34,133 +35,33 @@ CSV_COLUMNS = ("scenario", "seed", "direction", "window_start_s", "samples",
                "jitter_s", "e2e_s", "pdv_s2", "mos", "delay_class", "jitter_class")
 
 
-class DroppedPacket(SimError):
-    pass
-
-
-class InsufficientData(SimError):
-    pass
-
-
 class DomainError(SimError):
     pass
 
 
 @dataclass(frozen=True)
 class VoicePacketRecord:
-    call_id: int
-    direction: int
-    seq: int
+    """One finished packet: send tick and arrival tick, None if dropped."""
+
     t_send: int
     t_recv: int | None
-    dropped: bool
 
     def __post_init__(self):
-        if self.dropped != (self.t_recv is None):
-            raise ValueError("dropped records are exactly those without t_recv")
         if self.t_recv is not None and self.t_recv < self.t_send:
             raise ValueError("t_recv must be >= t_send")
 
 
 def records_from_stream(stream) -> list[VoicePacketRecord]:
-    """Materialize a media stream's log; packets still in flight are omitted."""
+    """Materialize a media stream's log in seq order; packets still in flight
+    are omitted."""
     out = []
     t0 = stream.t0
     fi = stream.codec.frame_interval_us
     for seq, tick in enumerate(stream.recv):
         if tick == PENDING:
             continue
-        if tick == DROPPED:
-            out.append(VoicePacketRecord(stream.call_id, stream.direction, seq,
-                                         t0 + seq * fi, None, True))
-        else:
-            out.append(VoicePacketRecord(stream.call_id, stream.direction, seq,
-                                         t0 + seq * fi, tick, False))
+        out.append(VoicePacketRecord(t0 + seq * fi, None if tick == DROPPED else tick))
     return out
-
-
-@dataclass(frozen=True)
-class DelayBudget:
-    """End-to-end delay split, all milliseconds."""
-
-    dn_ms: float
-    de_ms: float
-    dd_ms: float
-    dc_ms: float
-    dde_ms: float
-
-    def __post_init__(self):
-        for part in (self.dn_ms, self.de_ms, self.dd_ms, self.dc_ms, self.dde_ms):
-            if part < 0:
-                raise ValueError("delay components must be >= 0")
-
-    @property
-    def total_ms(self) -> float:
-        return self.dn_ms + self.de_ms + self.dd_ms + self.dc_ms + self.dde_ms
-
-
-def delay_budget(rec: VoicePacketRecord, codec: CodecProfile) -> DelayBudget:
-    if rec.dropped:
-        raise DroppedPacket(f"call {rec.call_id} seq {rec.seq}")
-    return DelayBudget(
-        dn_ms=(rec.t_recv - rec.t_send) / 1_000,
-        de_ms=codec.encode_delay_us / 1_000,
-        dd_ms=codec.decode_delay_us / 1_000,
-        dc_ms=codec.compress_delay_us / 1_000,
-        dde_ms=codec.decompress_delay_us / 1_000,
-    )
-
-
-def e2e_delay_ms(rec: VoicePacketRecord, codec: CodecProfile) -> float:
-    """Mouth-to-ear delay: network transit plus the codec's fixed components."""
-    if rec.dropped:
-        raise DroppedPacket(f"call {rec.call_id} seq {rec.seq}")
-    return (rec.t_recv - rec.t_send + codec.codec_delay_us) / 1_000
-
-
-def jitter_us(records) -> int:
-    """Signed max over seq-consecutive delivered pairs of
-    [t'(n) - t'(n-1)] - [t(n) - t(n-1)], integer microseconds."""
-    best = None
-    prev = None
-    for rec in records:
-        if rec.dropped:
-            continue
-        if prev is not None:
-            delta = (rec.t_recv - prev.t_recv) - (rec.t_send - prev.t_send)
-            if best is None or delta > best:
-                best = delta
-        prev = rec
-    if best is None:
-        raise InsufficientData("jitter needs at least 2 delivered packets")
-    return best
-
-
-def jitter(records) -> float:
-    """Same as jitter_us, in signed seconds."""
-    return jitter_us(records) / 1_000_000
-
-
-def pdv_us2(records) -> Fraction:
-    """Population variance of one-way delays, exact, in microseconds squared."""
-    n = 0
-    s = 0
-    q = 0
-    for rec in records:
-        if rec.dropped:
-            continue
-        d = rec.t_recv - rec.t_send
-        n += 1
-        s += d
-        q += d * d
-    if n == 0:
-        raise InsufficientData("pdv needs at least 1 delivered packet")
-    return Fraction(n * q - s * s, n * n)
-
-
-def pdv(records) -> float:
-    """Population variance of one-way delays, in seconds squared."""
-    return float(pdv_us2(records) / 10**12)
 
 
 def id_from_delay(d_ms: float) -> float:
@@ -282,7 +183,7 @@ def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
             w = rec.t_send // width_us
             if w > last:
                 w = last
-            if rec.dropped:
+            if rec.t_recv is None:
                 drops[w] += 1
                 continue
             d = rec.t_recv - rec.t_send

@@ -140,9 +140,6 @@ class PathTracer:
     def add(self, pid: int, segment: str, ingress: int, egress: int, reason: str) -> None:
         self.rows.append((pid, segment, ingress, egress, reason))
 
-    def segments_for(self, pid: int) -> list[tuple]:
-        return [r for r in self.rows if r[0] == pid]
-
 
 class _Contender:
     """Per-node DCF state: FIFO queue plus the backoff countdown for its head."""

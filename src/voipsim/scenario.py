@@ -199,7 +199,7 @@ def _convert(section: str, key: str, raw: str, how):
         if isinstance(how, int):
             return round(float(raw) * how)
         return how(raw)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: round() of an infinity
         raise ParseError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
 

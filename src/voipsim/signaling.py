@@ -11,6 +11,7 @@ them at the scheduled call end.
 
 from __future__ import annotations
 
+from .netmodels import Fabric
 from .simcore import SimError, Simulator
 
 SIP_MESSAGE_BYTES = 500  # uniform size; SIP is text, a few hundred bytes
@@ -70,21 +71,20 @@ class SessionLayer:
     """Drives SIP sessions over a fabric.
 
     The fabric only needs send(item, size_bytes, src, dst, on_end, on_fail);
-    the proxy sits at `proxy_node`, adding a fixed processing delay per relay.
+    the proxy is the endpoint named Fabric.PROXY, adding a fixed processing
+    delay per relay.
     """
 
     def __init__(self, sim: Simulator, fabric, *,
                  answer_delay_us: int = 2_000_000,
                  invite_timeout_us: int = 32_000_000,
                  proxy_proc_us: int = 1_000,
-                 proxy_node: str = "proxy",
                  session_log: list[str] | None = None):
         self.sim = sim
         self.fabric = fabric
         self.answer_delay_us = answer_delay_us
         self.invite_timeout_us = invite_timeout_us
         self.proxy_proc_us = proxy_proc_us
-        self.proxy_node = proxy_node
         self.session_log = session_log
         self.registered: set[str] = set()  # URIs the proxy can route to
         self.sessions: list[SipSession] = []
@@ -129,14 +129,14 @@ class SessionLayer:
     def _send(self, session: SipSession, kind: str, src: str, dst: str) -> None:
         msg = SipMessage(kind, session, src, dst)
         self.sim.stats.sip_messages_sent += 1
-        self.fabric.send(msg, SIP_MESSAGE_BYTES, src, self.proxy_node,
+        self.fabric.send(msg, SIP_MESSAGE_BYTES, src, Fabric.PROXY,
                          self._at_proxy, self._msg_lost)
 
     def _at_proxy(self, msg: SipMessage, _t: int) -> None:
         self.sim.schedule_in(self.proxy_proc_us, self._relay, msg, kind="sip-relay")
 
     def _relay(self, msg: SipMessage) -> None:
-        self.fabric.send(msg, SIP_MESSAGE_BYTES, self.proxy_node, msg.dst,
+        self.fabric.send(msg, SIP_MESSAGE_BYTES, Fabric.PROXY, msg.dst,
                          self._deliver, self._msg_lost)
 
     def _msg_lost(self, _msg: SipMessage, _reason: str) -> None:
@@ -230,6 +230,3 @@ class SessionLayer:
         if self.session_log is not None:
             self.session_log.append(
                 f"{self.sim.now} {session.session_id} {old}→{new_state}")
-
-    def all_closed(self) -> bool:
-        return all(s.state == CLOSED for s in self.sessions)

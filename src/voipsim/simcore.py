@@ -27,10 +27,6 @@ def millis(value: float) -> int:
     return round(value * US_PER_MS)
 
 
-def to_seconds(ticks: int) -> float:
-    return ticks / US_PER_S
-
-
 class SimError(Exception):
     """Base class for simulator errors."""
 

@@ -133,9 +133,6 @@ class MediaStream:
         self.n_packets = n_packets
         self.recv: list[int] = []
 
-    def send_time(self, seq: int) -> int:
-        return self.t0 + seq * self.codec.frame_interval_us
-
     @property
     def emitted(self) -> int:
         return len(self.recv)

@@ -17,13 +17,10 @@ import pytest
 
 from voipsim.cli import main
 from voipsim.metrics import (
-    InsufficientData,
     VoicePacketRecord,
     bucketize,
     classify,
-    jitter_us,
     mos_from_r,
-    pdv_us2,
     records_from_stream,
     write_metrics_csv,
 )
@@ -88,35 +85,41 @@ def test_rating_formula_fixed_points(capsys):
 
 # -- 2: metric equality against a brute-force oracle --------------------------
 
+def one_window(records, span_us):
+    """The CSV fold over a single window of span_us holding every record."""
+    [bucket] = bucketize([records], G711, run_length_us=span_us, width_us=span_us)
+    return bucket
+
+
 def test_jitter_and_pdv_match_bruteforce_oracle(capsys):
+    # each side is the correctly rounded float of one exact integer or
+    # rational, so equality is exact
     rng = Random(20260815)
     failures = 0
-    for case in range(1_000):
+    for _case in range(1_000):
         records = []
         for seq in range(10):
             t_send = seq * 20_000
             if rng.random() < 0.15:
-                records.append(VoicePacketRecord(case, 0, seq, t_send, None, True))
+                records.append(VoicePacketRecord(t_send, None))
             else:
                 d = rng.randint(0, 400_000)
-                records.append(VoicePacketRecord(case, 0, seq, t_send,
-                                                 t_send + d, False))
-        kept = [(r.t_send, r.t_recv) for r in records if not r.dropped]
+                records.append(VoicePacketRecord(t_send, t_send + d))
+        bucket = one_window(records, 200_000)
+        kept = [(r.t_send, r.t_recv) for r in records if r.t_recv is not None]
         if len(kept) >= 2:
             expect_j = max((b[1] - a[1]) - (b[0] - a[0])
                            for a, b in zip(kept, kept[1:]))
-            if jitter_us(records) != expect_j:
+            if bucket.jitter_s != expect_j / 1_000_000:
                 failures += 1
         else:
-            with pytest.raises(InsufficientData):
-                jitter_us(records)
+            assert bucket.jitter_s is None
         if kept:
             expect_v = statistics.pvariance([Fraction(t2 - t1) for t1, t2 in kept])
-            if pdv_us2(records) != expect_v:
+            if bucket.pdv_s2 != float(expect_v / 10**12):
                 failures += 1
         else:
-            with pytest.raises(InsufficientData):
-                pdv_us2(records)
+            assert bucket.pdv_s2 is None
     report(capsys, 2, "jitter/PDV oracle equality", failures == 0)
     assert failures == 0
 
@@ -221,7 +224,7 @@ def test_negative_jitter_survives_csv_pipeline(capsys):
     for seq in range(30):
         t_send = seq * 20_000
         d = 60_000 - seq * 1_000
-        records.append(VoicePacketRecord(0, 0, seq, t_send, t_send + d, False))
+        records.append(VoicePacketRecord(t_send, t_send + d))
     buckets = bucketize([records], G711, run_length_us=600_000, width_us=600_000)
     fh = io.StringIO()
     write_metrics_csv(fh, "rampdown", 1, {0: buckets})
@@ -254,16 +257,18 @@ def lone_flow_spec() -> ScenarioSpec:
 
 
 def test_lone_flow_has_zero_variation(capsys):
-    out = run_scenario(lone_flow_spec())
+    spec = lone_flow_spec()
+    out = run_scenario(spec)
     checks = [(out.stats.calls_established == 1, "expected exactly one call")]
     for call in out.calls:
         for stream in call.streams:
             records = records_from_stream(stream)
-            delays = {r.t_recv - r.t_send for r in records if not r.dropped}
+            delays = {r.t_recv - r.t_send for r in records if r.t_recv is not None}
             checks.append((len(delays) == 1,
                            f"direction {stream.direction}: delays {delays}"))
-            checks.append((jitter_us(records) == 0, "jitter not exactly 0"))
-            checks.append((pdv_us2(records) == 0, "pdv not exactly 0"))
+            bucket = one_window(records, spec.run_length_us)
+            checks.append((bucket.jitter_s == 0.0, "jitter not exactly 0"))
+            checks.append((bucket.pdv_s2 == 0.0, "pdv not exactly 0"))
     for direction, buckets in out.buckets_by_direction.items():
         for b in buckets:
             if b.samples > 0:

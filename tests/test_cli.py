@@ -169,6 +169,16 @@ def test_run_negative_answer_delay_is_config_error(tmp_path, capsys):
     assert "answer_delay_s must be >= 0" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+def test_run_infinite_delay_is_config_error(tmp_path, capsys, value):
+    ini = tmp_path / "smoke.ini"
+    ini.write_text(SHORT_INI + f"\n[cloud]\nbase_delay_ms = {value}\n")
+    code, _, err = run_cli(capsys, "run", "--scenario", str(ini), "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "error: [cloud] base_delay_ms: cannot parse" in err
+    assert "Traceback" not in err
+
+
 def test_run_runtime_fault_exit_code(tmp_path, capsys, monkeypatch):
     import voipsim.cli as cli_mod
 

@@ -48,6 +48,9 @@ GOLDEN_SHA256 = {
     "wifi-wifi": "76dfeae2621471d21014f616ca4cfdf01498f944f52c8b68d5b0e82391c36d98",
     "umts-umts": "fb54d6fed66288338e080388acfaee0c6fac10eeb8e8191c09460d0505a17d1c",
     "call-storm": "e406a5920e68001345ce5501406666997a8c8113d0e34e1b1f897405e14cb8ec",
+    # the headline mix: a WiFi hop carries the fixed cloud and the UMTS pipe
+    # as one folded event
+    "wifi-umts": "d275110f16387d52b3afa8abf7d7eba66b9a45ddd718e3ecdc8e1b61110ff5f9",
 }
 
 

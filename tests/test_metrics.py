@@ -14,22 +14,14 @@ from voipsim.metrics import (
     MOS_TABLE,
     POOR,
     DomainError,
-    DroppedPacket,
     EModelInputs,
-    InsufficientData,
     QoSBucket,
     VoicePacketRecord,
     bucketize,
     classify,
-    delay_budget,
-    e2e_delay_ms,
     id_from_delay,
-    jitter,
-    jitter_us,
     mos_from_r,
     mos_label,
-    pdv,
-    pdv_us2,
     r_factor,
     records_from_stream,
     write_metrics_csv,
@@ -39,18 +31,20 @@ from voipsim.traffic import CODECS, MediaStream, PENDING
 G711 = CODECS["g711"]
 
 
-def rec(seq, t_send, t_recv, call_id=0, direction=0):
-    dropped = t_recv is None
-    return VoicePacketRecord(call_id, direction, seq, t_send, t_recv, dropped)
-
-
 def trace(delays, spacing=20_000, t0=0):
     """Records with the given per-seq one-way delays; None marks a drop."""
     out = []
     for seq, d in enumerate(delays):
         t = t0 + seq * spacing
-        out.append(rec(seq, t, None if d is None else t + d))
+        out.append(VoicePacketRecord(t, None if d is None else t + d))
     return out
+
+
+def one_window(records):
+    """The bucket of a single window that spans the whole trace."""
+    span = max((r.t_send for r in records), default=0) + 1
+    [bucket] = bucketize([records], G711, run_length_us=span, width_us=span)
+    return bucket
 
 
 # --- transmission rating and MOS -------------------------------------------
@@ -122,11 +116,7 @@ def test_mos_label_rows():
 
 def test_record_consistency_enforced():
     with pytest.raises(ValueError):
-        VoicePacketRecord(0, 0, 0, 100, 200, True)
-    with pytest.raises(ValueError):
-        VoicePacketRecord(0, 0, 0, 100, None, False)
-    with pytest.raises(ValueError):
-        VoicePacketRecord(0, 0, 0, 100, 99, False)
+        VoicePacketRecord(100, 99)
 
 
 def test_records_from_stream_skips_in_flight():
@@ -137,75 +127,57 @@ def test_records_from_stream_skips_in_flight():
     s.mark_dropped(1)
     s.mark_delivered(3, 90_000)
     got = records_from_stream(s)
-    assert [r.seq for r in got] == [0, 1, 3]
-    assert got[0].t_send == 1_000 and got[0].t_recv == 40_000
-    assert got[1].dropped and got[1].t_recv is None
-    assert got[2].t_send == 1_000 + 3 * 20_000
-
-
-def test_delay_budget_totals_and_guard():
-    r = rec(0, 0, 31_400)
-    b = delay_budget(r, G711)
-    assert b.dn_ms == pytest.approx(31.4)
-    assert b.total_ms == pytest.approx(31.4 + 1.0)
-    assert e2e_delay_ms(r, G711) == pytest.approx(32.4)
-    with pytest.raises(DroppedPacket):
-        e2e_delay_ms(rec(0, 0, None), G711)
-    with pytest.raises(DroppedPacket):
-        delay_budget(rec(0, 0, None), G711)
+    # seq 0, 1 and 3: the in-flight seq 2 leaves no record
+    assert [r.t_send for r in got] == [1_000, 21_000, 61_000]
+    assert got[0].t_recv == 40_000
+    assert got[1].t_recv is None
+    assert got[2].t_recv == 90_000
 
 
 # --- jitter ------------------------------------------------------------------
 
 def test_jitter_positive_example():
     # delays 10, 15, 12 ms: spreads +5 then -3; max is +5 ms
-    records = trace([10_000, 15_000, 12_000])
-    assert jitter_us(records) == 5_000
-    assert jitter(records) == pytest.approx(0.005)
+    assert one_window(trace([10_000, 15_000, 12_000])).jitter_s == 0.005
 
 
 def test_jitter_negative_when_delays_shrink():
-    records = trace([20_000, 15_000, 10_000])
-    assert jitter_us(records) == -5_000
-    assert jitter(records) == pytest.approx(-0.005)
+    assert one_window(trace([20_000, 15_000, 10_000])).jitter_s == -0.005
 
 
 def test_jitter_pairs_skip_drops():
     # the delivered neighbours of a dropped packet form the pair
-    records = trace([10_000, None, 16_000])
-    assert jitter_us(records) == 6_000
+    assert one_window(trace([10_000, None, 16_000])).jitter_s == 0.006
 
 
 def test_jitter_needs_two_delivered():
-    with pytest.raises(InsufficientData):
-        jitter_us(trace([10_000]))
-    with pytest.raises(InsufficientData):
-        jitter_us(trace([10_000, None, None]))
-    with pytest.raises(InsufficientData):
-        jitter_us([])
+    assert one_window(trace([10_000])).jitter_s is None
+    assert one_window(trace([10_000, None, None])).jitter_s is None
+    assert one_window([]).jitter_s is None
 
 
 def test_jitter_zero_for_constant_delay():
-    assert jitter_us(trace([7_000] * 50)) == 0
+    assert one_window(trace([7_000] * 50)).jitter_s == 0.0
 
 
 # --- packet delay variation --------------------------------------------------
 
 def test_pdv_worked_example():
     # delays 50/55/60 ms: population variance 50/3 ms^2
-    records = trace([50_000, 55_000, 60_000])
-    assert pdv_us2(records) == Fraction(50_000_000, 3)
-    assert pdv(records) == pytest.approx(50 / 3 * 1e-6)
+    pdv_s2 = one_window(trace([50_000, 55_000, 60_000])).pdv_s2
+    assert pdv_s2 == float(Fraction(50_000_000, 3) / 10**12)
+    assert pdv_s2 == pytest.approx(50 / 3 * 1e-6)
 
 
 def test_pdv_degenerate_cases():
-    assert pdv_us2(trace([12_345])) == 0
-    assert pdv_us2(trace([9_000] * 10)) == 0
-    with pytest.raises(InsufficientData):
-        pdv_us2(trace([None, None]))
+    assert one_window(trace([12_345])).pdv_s2 == 0.0
+    assert one_window(trace([9_000] * 10)).pdv_s2 == 0.0
+    assert one_window(trace([None, None])).pdv_s2 is None
 
 
-# --- property checks against definitional oracles ---------------------------
+# --- property checks of the fold against definitional oracles ---------------
+# Both sides are the correctly rounded float of one exact integer or
+# rational, so equality is exact.
 
 delays_st = st.lists(
     st.one_of(st.integers(min_value=0, max_value=400_000), st.none()),
@@ -216,13 +188,13 @@ delays_st = st.lists(
 @given(delays_st)
 def test_jitter_matches_bruteforce(delays):
     records = trace(delays)
-    kept = [(r.t_send, r.t_recv) for r in records if not r.dropped]
+    kept = [(r.t_send, r.t_recv) for r in records if r.t_recv is not None]
+    got = one_window(records).jitter_s
     if len(kept) < 2:
-        with pytest.raises(InsufficientData):
-            jitter_us(records)
+        assert got is None
         return
     expected = max((b[1] - a[1]) - (b[0] - a[0]) for a, b in zip(kept, kept[1:]))
-    assert jitter_us(records) == expected
+    assert got == expected / 1_000_000
 
 
 @settings(max_examples=300, deadline=None)
@@ -230,9 +202,9 @@ def test_jitter_matches_bruteforce(delays):
 def test_jitter_invariant_under_time_shift(delays, shift):
     if sum(d is not None for d in delays) < 2:
         return
-    base = jitter_us(trace(delays))
-    shifted = jitter_us(trace(delays, t0=shift))
-    bumped = jitter_us(trace([None if d is None else d + 5_000 for d in delays]))
+    base = one_window(trace(delays)).jitter_s
+    shifted = one_window(trace(delays, t0=shift)).jitter_s
+    bumped = one_window(trace([None if d is None else d + 5_000 for d in delays])).jitter_s
     assert base == shifted == bumped
 
 
@@ -240,12 +212,12 @@ def test_jitter_invariant_under_time_shift(delays, shift):
 @given(delays_st)
 def test_pdv_matches_statistics_pvariance(delays):
     records = trace(delays)
-    kept = [Fraction(r.t_recv - r.t_send) for r in records if not r.dropped]
+    kept = [Fraction(r.t_recv - r.t_send) for r in records if r.t_recv is not None]
+    got = one_window(records).pdv_s2
     if not kept:
-        with pytest.raises(InsufficientData):
-            pdv_us2(records)
+        assert got is None
         return
-    assert pdv_us2(records) == statistics.pvariance(kept)
+    assert got == float(statistics.pvariance(kept) / 10**12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,7 +225,8 @@ def test_pdv_matches_statistics_pvariance(delays):
                 max_size=30),
        st.integers(min_value=0, max_value=200_000))
 def test_pdv_invariant_under_delay_shift(delays, bump):
-    assert pdv_us2(trace(delays)) == pdv_us2(trace([d + bump for d in delays]))
+    assert (one_window(trace(delays)).pdv_s2
+            == one_window(trace([d + bump for d in delays])).pdv_s2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -330,14 +303,14 @@ def test_bucketize_flags_warmup_windows():
 
 
 def test_bucketize_pair_lands_in_later_window():
-    records = [rec(0, 9_000, 10_000), rec(1, 11_000, 17_000)]
+    records = [VoicePacketRecord(9_000, 10_000), VoicePacketRecord(11_000, 17_000)]
     buckets = bucketize([records], G711, run_length_us=20_000, width_us=10_000)
     assert buckets[0].samples == 1 and buckets[0].jitter_s is None
     assert buckets[1].jitter_s == pytest.approx(0.005)
 
 
 def test_bucketize_clamps_straggler_to_last_window():
-    records = [rec(0, 95_000, 96_000), rec(1, 170_000, 171_000)]
+    records = [VoicePacketRecord(95_000, 96_000), VoicePacketRecord(170_000, 171_000)]
     buckets = bucketize([records], G711, run_length_us=100_000, width_us=30_000)
     assert len(buckets) == 4
     assert buckets[3].samples == 2

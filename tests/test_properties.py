@@ -1,10 +1,15 @@
-"""Property: every scenario that passes validate() runs to the end.
+"""Properties: every scenario that passes validate() runs to the end, and
+every config text parses to a valid spec or fails as a config error.
 
 Specs are drawn for both subnet kinds with at most four stations and runs of
 at most a minute.  One to three keys per spec take an edge value (zero or
 negative) instead of an ordinary one; validation must either reject the spec
 or the run must finish without a handler fault and with every packet
 accounted for.
+
+Config texts are drawn over every key of every section, with ordinary
+values, non-finite and overflowing numbers, huge integers, empty strings,
+unknown keys and repeated keys; they are only parsed, never run.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -12,13 +17,16 @@ from hypothesis import strategies as st
 
 from voipsim.runner import run_scenario
 from voipsim.scenario import (
+    _KEYS,
     CallSpec,
     CloudSpec,
+    ParseError,
     ScenarioSpec,
     SubnetSpec,
     UmtsParams,
     ValidationError,
     WifiParams,
+    parse_scenario_text,
     validate,
 )
 from voipsim.traffic import CODECS
@@ -122,3 +130,69 @@ def test_validated_specs_run_and_conserve_packets(spec):
     assume(_valid(spec))
     stats = run_scenario(spec).stats
     assert stats.conservation_holds()
+
+
+# -- config text --------------------------------------------------------------
+
+ODD_VALUES = ("inf", "-inf", "nan", "1e400", "", str(10**30), str(-10**30), "9" * 5000)
+NAMES = ("left", "right", "g711", "g729", "g7231", "wifi", "umts", "x y")
+UNKNOWN_KEYS = ("warp_factor", "run_length_us", "base_delay_us", "tti_us", "Kind")
+
+
+def ordinary_values(how):
+    """Values a key with this converter (or unit scale) reads as intended."""
+    if how is float:
+        return st.floats(0, 1).map(repr)
+    if how is int:
+        return st.integers(0, 100).map(str)
+    if isinstance(how, int):
+        # a key in seconds, milliseconds or microseconds
+        return st.integers(0, 10**6 // how * 100).map(str)
+    return st.sampled_from(NAMES)
+
+
+def one_in(n):
+    # sampled_from leans towards its first entry, so True stays rare
+    return st.sampled_from((False,) * (n - 1) + (True,))
+
+
+@st.composite
+def key_lines(draw, keymap):
+    """Distinct "key = value" lines over keymap's keys; about one value in
+    eight is odd, and about one section in ten adds an unknown or a repeated
+    key."""
+    keys = draw(st.lists(st.sampled_from(sorted(keymap)), unique=True, max_size=6))
+    if draw(one_in(10)):
+        keys.append(draw(st.sampled_from(UNKNOWN_KEYS + tuple(keys))))
+    lines = []
+    for key in keys:
+        if draw(one_in(8)):
+            value = draw(st.sampled_from(ODD_VALUES))
+        else:
+            value = draw(ordinary_values(keymap.get(key, (None, int))[1]))
+        lines.append(f"{key} = {value}")
+    return lines
+
+
+@st.composite
+def config_texts(draw):
+    sections = []
+    for section in ("scenario", "cloud", "calls"):
+        if draw(st.booleans()):
+            sections.append((section, draw(key_lines(_KEYS[section]))))
+    for name in draw(st.sampled_from((("left", "right"), ("left",), ("a", "b", "c")))):
+        kind = draw(st.sampled_from(("wifi", "umts", "wifi", "umts", "", "wimax")))
+        keymap = {**_KEYS.get(kind, {}), "stations": ("stations", int)}
+        sections.append((f"subnet.{name}", [f"kind = {kind}"] + draw(key_lines(keymap))))
+    return "\n".join(f"[{header}]\n" + "".join(line + "\n" for line in lines)
+                     for header, lines in sections)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(config_texts())
+def test_config_text_parses_to_a_valid_spec_or_a_config_error(text):
+    try:
+        spec = parse_scenario_text(text, default_name="fuzz")
+    except (ParseError, ValidationError):
+        return
+    assert validate(spec) is spec

@@ -244,13 +244,13 @@ def test_message_in_closed_session_is_ignored():
     assert sim.stats.calls_failed_setup == before
 
 
-def test_all_closed_audit():
+def test_every_session_closed_audit():
     sim = Simulator()
     layer = make_layer(sim, ZeroFabric(sim))
     s1 = layer.initiate("a", "b", on_established=lambda s: None,
                         on_closed=lambda s: None)
     sim.run_until(seconds(1))
-    assert not layer.all_closed()
+    assert not all(s.state == CLOSED for s in layer.sessions)
     layer.teardown(s1)
     sim.run_until(seconds(2))
-    assert layer.all_closed()
+    assert all(s.state == CLOSED for s in layer.sessions)

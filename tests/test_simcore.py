@@ -19,15 +19,14 @@ from voipsim.simcore import (
     exp_sample,
     millis,
     seconds,
-    to_seconds,
 )
 
 
 def test_time_helpers_round_trip():
     assert seconds(1.5) == 1_500_000
     assert millis(2.5) == 2_500
-    assert to_seconds(250_000) == 0.25
-    assert seconds(to_seconds(123_456)) == 123_456
+    assert seconds(250_000 / US_PER_S) == 250_000
+    assert seconds(123_456 / US_PER_S) == 123_456
 
 
 def test_events_fire_in_time_order():

@@ -63,11 +63,12 @@ def test_zero_duration_call_has_no_packets():
     assert call.streams[0].n_packets == 0
 
 
-def test_stream_send_times_follow_frame_interval():
+def test_stream_sends_follow_frame_interval():
     call = Call(3, "a", "b", t_established=1_234, duration=seconds(1), codec=CODECS["g711"])
     fwd = call.streams[DIR_FORWARD]
-    assert fwd.send_time(0) == 1_234
-    assert fwd.send_time(7) == 1_234 + 7 * 20_000
+    # send times are implicit: t0 + seq * frame interval
+    assert fwd.t0 == 1_234
+    assert fwd.t0 + 7 * fwd.codec.frame_interval_us == 1_234 + 7 * 20_000
 
 
 def test_arrival_rate_matches_configured_mean():
@@ -151,11 +152,12 @@ def _run_scheduler(seed, inter_s, dur_s, callers, callees, horizon_s):
 def test_source_pacing_is_exact():
     sim, sched, fabric = _run_scheduler(1, 30, 5, ["a1", "a2"], ["b1", "b2"], 120)
     assert sched.calls, "expected at least one established call"
-    # consecutive seq within one direction are spaced exactly one frame interval
+    # consecutive seq within one direction are spaced exactly one frame
+    # interval; the sink logs each packet's emission tick as its arrival
     for call in sched.calls:
         for stream in call.streams:
             for seq in range(1, stream.emitted):
-                assert stream.send_time(seq) - stream.send_time(seq - 1) == 20_000
+                assert stream.recv[seq] - stream.recv[seq - 1] == 20_000
     assert fabric.sent, "packets must reach the fabric"
 
 
@@ -165,7 +167,7 @@ def test_media_only_within_call_window():
         for stream in call.streams:
             assert stream.t0 == call.t_established
             if stream.emitted:
-                last_send = stream.send_time(stream.emitted - 1)
+                last_send = stream.recv[stream.emitted - 1]
                 assert last_send <= call.t_established + call.duration
 
 
