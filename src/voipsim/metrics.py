@@ -39,7 +39,7 @@ class DomainError(SimError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoicePacketRecord:
     """One finished packet: send tick and arrival tick, None if dropped."""
 
@@ -195,6 +195,8 @@ def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
                 if jmax[w] is None or delta > jmax[w]:
                     jmax[w] = delta
             prev = rec
+        # so a lazily made next list replaces this one instead of joining it
+        del records
 
     buckets = []
     codec_us = codec.codec_delay_us

@@ -63,6 +63,16 @@ class ValidationError(SimError):
     """Config parsed but breaks a scenario invariant."""
 
 
+# Size caps, so that a config which validates cannot ask for an unbounded
+# allocation.  A run of at most 10^5 s keeps every tick below 10^11 us, far
+# inside the receive log's signed 64-bit slots; 10^5 windows per direction
+# come to about 50 MB of buckets; 10^4 stations per subnet set up in well
+# under a second.
+MAX_RUN_LENGTH_US = 100_000 * US_PER_S
+MAX_WINDOWS = 100_000
+MAX_STATIONS = 10_000
+MAX_REPETITIONS = 1_000
+
 # a subnet's kind is the type of its params object
 _PARAMS = {"wifi": WifiParams, "umts": UmtsParams}
 _KIND_OF = {cls: kind for kind, cls in _PARAMS.items()}
@@ -132,8 +142,8 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
             fail(f"subnet name {sub.name!r} must be a plain token")
         if sub.kind is None:
             fail(f"subnet {sub.name}: kind must be wifi or umts")
-        if sub.stations < 1:
-            fail(f"subnet {sub.name}: stations must be >= 1")
+        if not 1 <= sub.stations <= MAX_STATIONS:
+            fail(f"subnet {sub.name}: stations must be in [1, {MAX_STATIONS}]")
         if sub.kind == "umts" and not 0 <= sub.params.bler < 1:
             # the cell also takes 1.0, a test hook that drops every packet
             fail(f"subnet {sub.name}: bler must be in [0, 1)")
@@ -144,10 +154,14 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
         fail("warm_up_s must be >= 0")
     if spec.run_length_us <= spec.warm_up_us:
         fail("run_length_s must exceed warm_up_s")
+    if spec.run_length_us > MAX_RUN_LENGTH_US:
+        fail(f"run_length_s must be <= {MAX_RUN_LENGTH_US // US_PER_S}")
     if spec.bucket_width_us <= 0:
         fail("bucket_width_s must be > 0")
-    if spec.repetitions < 1:
-        fail("repetitions must be >= 1")
+    if -(-spec.run_length_us // spec.bucket_width_us) > MAX_WINDOWS:
+        fail(f"run_length_s / bucket_width_s must be <= {MAX_WINDOWS} windows")
+    if not 1 <= spec.repetitions <= MAX_REPETITIONS:
+        fail(f"repetitions must be in [1, {MAX_REPETITIONS}]")
     check_params(spec.cloud, _KEYS["cloud"], "cloud ")
     if spec.calls.caller_subnet not in names or spec.calls.callee_subnet not in names:
         fail("calls must reference the declared subnets")
@@ -217,7 +231,8 @@ def _section_kwargs(cp, section: str, keymap, skip=()) -> dict:
 
 
 def parse_scenario_text(text: str, default_name: str = "") -> ScenarioSpec:
-    cp = configparser.ConfigParser(interpolation=None)
+    # "; ..." after whitespace is a comment, as in the grammar above
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     cp.optionxform = str
     try:
         cp.read_string(text)

@@ -8,6 +8,7 @@ that find no idle pair are dropped and counted, not queued.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .simcore import US_PER_S, Simulator, exp_sample
@@ -108,7 +109,7 @@ CODECS: dict[str, CodecProfile] = {
 
 DEFAULT_CODEC = "g711"
 
-# recv-tick sentinels kept as plain ints so a stream's log is one flat list
+# recv-tick sentinels: negative, so they share the log's int64 slots with ticks
 PENDING = -2
 DROPPED = -1
 
@@ -116,8 +117,9 @@ DROPPED = -1
 class MediaStream:
     """One direction of one call's packet log.
 
-    Send times are implicit (t0 + seq * frame_interval); the recv list holds
-    one entry per emitted packet: the arrival tick, DROPPED, or PENDING.
+    Send times are implicit (t0 + seq * frame_interval); recv holds one
+    signed 64-bit entry (8 bytes) per emitted packet: the arrival tick,
+    DROPPED, or PENDING.
     """
 
     __slots__ = ("call_id", "direction", "src", "dst", "codec", "t0", "n_packets", "recv")
@@ -131,7 +133,7 @@ class MediaStream:
         self.codec = codec
         self.t0 = t0
         self.n_packets = n_packets
-        self.recv: list[int] = []
+        self.recv = array("q")
 
     @property
     def emitted(self) -> int:

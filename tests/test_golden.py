@@ -70,6 +70,43 @@ def test_metrics_csv_matches_golden_digest(name, tmp_path):
     assert digest == GOLDEN_SHA256[name]
 
 
+# Two WiFi cells hand packets to one jittery, lossy cloud: its shared draws
+# follow the order of equal-time events across the cells, which none of the
+# digests above depends on.  A short run of its own, not _spec's 600 s.
+CONTENDED_INI = """\
+[scenario]
+name = contended
+run_length_s = 60
+warm_up_s = 10
+
+[subnet.a]
+kind = wifi
+stations = 6
+
+[subnet.b]
+kind = wifi
+stations = 6
+
+[cloud]
+base_delay_ms = 30
+jitter_half_width_ms = 12
+loss_prob = 0.02
+
+[calls]
+inter_arrival_s = 5
+duration_mean_s = 40
+"""
+
+CONTENDED_SHA256 = "6e07f14ff9b226fc241800a613228c99a6a09363cc7ebb8a0737edc7e3576592"
+
+
+def test_cross_cell_tie_order_matches_golden_digest(tmp_path):
+    spec = validate(parse_scenario_text(CONTENDED_INI))
+    out = run_scenario(spec, seed=SEED, out_dir=str(tmp_path))
+    with open(out.csv_path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == CONTENDED_SHA256
+
+
 # emit_scenario of each builtin; the spec digest in every manifest hashes it
 SCENARIO_TEXT_SHA256 = {
     "wifi-wifi": "9a3540d3d984ca3b4c6981565d42a396ae2020668033a4bef8a9321a1c2bb2f8",

@@ -2,6 +2,7 @@
 
 import io
 import statistics
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,24 @@ def test_bucketize_clamps_straggler_to_last_window():
     buckets = bucketize([records], G711, run_length_us=100_000, width_us=30_000)
     assert len(buckets) == 4
     assert buckets[3].samples == 2
+
+
+def test_bucketize_holds_one_stream_of_records_at_a_time():
+    made = []
+
+    class Records(list):
+        def __init__(self, items):
+            super().__init__(items)
+            made.append(weakref.ref(self))
+
+    def streams():
+        for _ in range(3):
+            # the previous stream's list is gone before the next is made
+            assert all(ref() is None for ref in made)
+            yield Records(trace([30_000] * 10))
+
+    [bucket] = bucketize(streams(), G711, run_length_us=200_000, width_us=200_000)
+    assert bucket.samples == 30
 
 
 def test_bucketize_loss_lowers_window_mos():

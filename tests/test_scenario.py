@@ -1,5 +1,7 @@
 """Config grammar: parse/emit round-trip, validation, builtin presets."""
 
+import pathlib
+
 import pytest
 
 from voipsim.scenario import (
@@ -202,6 +204,35 @@ def test_inputs_that_used_to_fault_at_run_time_rejected(section, key, message):
     text = f"{MINIMAL}\n[{section}]\n{key}\n"
     with pytest.raises(ValidationError, match=message):
         parse_scenario_text(text, default_name="demo")
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"{MINIMAL}\n[scenario]\nrepetitions = {10**30}\n", r"repetitions must be in \[1, 1000\]"),
+    (MINIMAL.replace("kind = wifi", f"kind = wifi\nstations = {10**30}"),
+     r"stations must be in \[1, 10000\]"),
+    (f"{MINIMAL}\n[scenario]\nrun_length_s = 1e300\n", "run_length_s must be <= 100000"),
+    (f"{MINIMAL}\n[scenario]\nrun_length_s = 3600\nbucket_width_s = 0.000001\n",
+     "must be <= 100000 windows"),
+], ids=["repetitions", "stations", "run_length", "windows"])
+def test_sizes_that_would_exhaust_memory_rejected(text, message):
+    # parsed and validated only: running any of these would allocate without bound
+    with pytest.raises(ValidationError, match=message):
+        parse_scenario_text(text, default_name="demo")
+
+
+def test_size_caps_are_inclusive():
+    text = MINIMAL.replace("kind = wifi", "kind = wifi\nstations = 10000") + (
+        "\n[scenario]\nrun_length_s = 100000\nbucket_width_s = 1\nrepetitions = 1000\n")
+    spec = parse_scenario_text(text, default_name="demo")
+    assert spec.subnets[0].stations == 10_000 and spec.repetitions == 1_000
+
+
+def test_shipped_configs_validate():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    parse_scenario(root / "perfbench" / "call-storm.ini")
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Config files", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_scenario_text(example).name == "lab"
 
 
 def test_bler_one_rejected_in_config():
