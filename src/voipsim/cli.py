@@ -18,7 +18,7 @@ from .metrics import (
     mos_label,
     r_factor,
 )
-from .runner import IncompatibleRuns, compare_runs, run_repetitions
+from .runner import IncompatibleRuns, compare_runs, run_scenario
 from .scenario import (
     BUILTIN_NAMES,
     ParseError,
@@ -47,13 +47,16 @@ def _cmd_run(args) -> int:
     spec = _resolve_scenario(args.scenario)
     spec = with_overrides(spec, master_seed=args.seed, repetitions=args.reps)
     out_dir = args.out or os.environ.get("VOIPSIM_OUT") or "."
-    outputs = run_repetitions(spec, out_dir=out_dir, trace=args.trace,
-                              session_log=args.session_log)
-    for out in outputs:
+    # repetition k uses seed master_seed + k; outputs land side by side
+    for k in range(spec.repetitions):
+        out = run_scenario(spec, seed=spec.master_seed + k, out_dir=out_dir,
+                           trace=args.trace, session_log=args.session_log)
         s = out.stats
         print(f"{out.scenario} seed={out.seed}: {s.calls_established} calls, "
               f"{s.packets_delivered}/{s.packets_generated} packets delivered "
               f"-> {out.csv_path}")
+        # the output holds every packet log of its run; free it before the next
+        del out
     return EXIT_OK
 
 

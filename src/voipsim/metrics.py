@@ -66,7 +66,7 @@ def records_from_stream(stream) -> list[VoicePacketRecord]:
 
 def id_from_delay(d_ms: float) -> float:
     """Delay impairment: 0.024 d plus a steeper surcharge past 177.3 ms."""
-    if d_ms < 0:
+    if not d_ms >= 0:  # also catches NaN
         raise DomainError(f"delay must be >= 0, got {d_ms}")
     rating = 0.024 * d_ms
     if d_ms > 177.3:
@@ -86,7 +86,9 @@ class EModelInputs:
 
 def r_factor(inputs: EModelInputs) -> float:
     """Transmission rating with loss folded into the equipment impairment,
-    clamped to [0, 100]."""
+    clamped to [0, 100].  The loss must be a percentage in [0, 100]."""
+    if not 0 <= inputs.ppl_pct <= 100:  # also catches NaN
+        raise DomainError(f"packet loss must be in [0, 100] %, got {inputs.ppl_pct}")
     if inputs.ppl_pct > 0:
         ie_eff = inputs.ie + (95 - inputs.ie) * inputs.ppl_pct / (inputs.ppl_pct + inputs.bpl)
     else:

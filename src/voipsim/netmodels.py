@@ -182,7 +182,7 @@ class WifiCell:
         # collision redraws consume the random stream in station order
         self._active: list[_Contender] = []
         self._busy_until = 0
-        self._round_event: int | None = None
+        self._round_event: list | None = None
         self._round_t0 = 0
         self._ack_us = round(WIFI_ACK_BYTES * 8 * 1_000_000 / WIFI_ACK_RATE_BPS)
         self._exchange: dict[int, int] = {}
@@ -191,10 +191,10 @@ class WifiCell:
         self.fabric = fabric
 
     def up_segments(self, ws: str) -> list[tuple]:
-        return [(f"wifi-up:{self.name}", self._enqueue, ws)]
+        return [(f"wifi-up:{self.name}", self._enqueue, self._contenders[ws])]
 
     def down_segments(self, ws: str) -> list[tuple]:
-        return [(f"wifi-down:{self.name}", self._enqueue, self.ap_id)]
+        return [(f"wifi-down:{self.name}", self._enqueue, self._contenders[self.ap_id])]
 
     def exchange_us(self, size_bytes: int) -> int:
         """Medium occupancy of one successful exchange: data + SIFS + ACK."""
@@ -208,8 +208,7 @@ class WifiCell:
 
     # -- DCF mechanics --------------------------------------------------
 
-    def _enqueue(self, env: Envelope, node: str) -> None:
-        c = self._contenders[node]
+    def _enqueue(self, env: Envelope, c: _Contender) -> None:
         if len(c.queue) >= self.params.queue_cap:
             self.fabric.segment_drop(env, DROP_QUEUE_OVERFLOW)
             return
@@ -341,27 +340,21 @@ class UmtsCell:
 
     def up_segments(self, ue: str) -> list[tuple]:
         return [
-            (f"umts-air-up:{self.name}", self._air_up, ue),
+            (f"umts-air-up:{self.name}", self._air_enqueue, self._up[ue]),
             (f"umts-utran-cn-up:{self.name}", None, None),
         ]
 
     def down_segments(self, ue: str) -> list[tuple]:
         return [
             (f"umts-cn-utran-down:{self.name}", None, None),
-            (f"umts-air-down:{self.name}", self._air_down, ue),
+            (f"umts-air-down:{self.name}", self._air_enqueue, self._down[ue]),
         ]
 
     def next_tti_boundary(self, t: int) -> int:
         tti = self.params.tti_us
         return -(-t // tti) * tti
 
-    def _air_up(self, env: Envelope, ue: str) -> None:
-        self._air_enqueue(self._up[ue], env)
-
-    def _air_down(self, env: Envelope, ue: str) -> None:
-        self._air_enqueue(self._down[ue], env)
-
-    def _air_enqueue(self, bearer: _Bearer, env: Envelope) -> None:
+    def _air_enqueue(self, env: Envelope, bearer: _Bearer) -> None:
         if bearer.busy or bearer.items:
             if len(bearer.items) >= self.params.queue_cap:
                 self.fabric.segment_drop(env, DROP_QUEUE_OVERFLOW)
@@ -425,9 +418,11 @@ class Fabric:
     """Routes packets between workstations across cells and the cloud.
 
     A path is a cached list of steps (label, transmit_fn, node, fixed,
-    tail_us, next_hop).  WiFi and UMTS endpoints contribute their access
-    legs; distinct subnets are always joined by the cloud.  The proxy
-    endpoint lives at the cloud edge.
+    tail_us, next_hop).  A step's node is the queue its segment feeds (a
+    WiFi contender, a UMTS bearer; None for the cloud), and entering the
+    step calls transmit_fn(envelope, node).  WiFi and UMTS endpoints
+    contribute their access legs; distinct subnets are always joined by the
+    cloud.  The proxy endpoint lives at the cloud edge.
 
     A segment whose label was declared with fix() is fixed: fixed is its
     (delay_us, event kind), and the fabric never calls its transmit_fn.  A run
@@ -572,18 +567,22 @@ class Fabric:
 
     # -- media bookkeeping ----------------------------------------------
 
-    def send_media(self, packet) -> None:
-        self.send(packet, packet.size_bytes, packet.src, packet.dst,
+    def send_media(self, stream, seq: int) -> None:
+        """Carry packet seq of a media stream; the envelope's item is the
+        (stream, seq) pair."""
+        self.send((stream, seq), stream.codec.packet_size_bytes, stream.src, stream.dst,
                   self._media_done, self._media_fail)
 
-    def _media_done(self, packet, t_recv: int) -> None:
-        packet.stream.mark_delivered(packet.seq, t_recv)
+    def _media_done(self, packet: tuple, t_recv: int) -> None:
+        stream, seq = packet
+        stream.mark_delivered(seq, t_recv)
         stats = self.sim.stats
         stats.packets_delivered += 1
         stats.packets_in_flight -= 1
 
-    def _media_fail(self, packet, reason: str) -> None:
-        packet.stream.mark_dropped(packet.seq)
+    def _media_fail(self, packet: tuple, reason: str) -> None:
+        stream, seq = packet
+        stream.mark_dropped(seq)
         stats = self.sim.stats
         stats.packets_dropped += 1
         stats.packets_in_flight -= 1

@@ -163,14 +163,6 @@ def run_scenario(spec: ScenarioSpec, *, seed: int | None = None,
     return out
 
 
-def run_repetitions(spec: ScenarioSpec, *, out_dir: str | None = None,
-                    trace: bool = False, session_log: bool = False) -> list[RunOutput]:
-    """Repetition k uses seed master_seed + k; outputs land side by side."""
-    return [run_scenario(spec, seed=spec.master_seed + k, out_dir=out_dir,
-                         trace=trace, session_log=session_log)
-            for k in range(spec.repetitions)]
-
-
 # -- comparing finished runs -------------------------------------------------
 
 

@@ -43,12 +43,11 @@ class ProtocolViolation(SipError):
 
 
 class SipMessage:
-    __slots__ = ("kind", "session", "src", "dst")
+    __slots__ = ("kind", "session", "dst")
 
-    def __init__(self, kind: str, session: "SipSession", src: str, dst: str):
+    def __init__(self, kind: str, session: "SipSession", dst: str):
         self.kind = kind
         self.session = session
-        self.src = src
         self.dst = dst
 
 
@@ -63,8 +62,9 @@ class SipSession:
         self.answered = False  # 200 seen by caller, ACK on the way
         self.on_established = None
         self.on_closed = None
-        self._timeout_event: int | None = None
-        self._answer_event: int | None = None
+        # Simulator.schedule handles of the pending timers
+        self._timeout_event: list | None = None
+        self._answer_event: list | None = None
 
 
 class SessionLayer:
@@ -127,7 +127,7 @@ class SessionLayer:
     # -- transport -------------------------------------------------------
 
     def _send(self, session: SipSession, kind: str, src: str, dst: str) -> None:
-        msg = SipMessage(kind, session, src, dst)
+        msg = SipMessage(kind, session, dst)
         self.sim.stats.sip_messages_sent += 1
         self.fabric.send(msg, SIP_MESSAGE_BYTES, src, Fabric.PROXY,
                          self._at_proxy, self._msg_lost)

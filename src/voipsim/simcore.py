@@ -118,8 +118,11 @@ def exp_sample(rng: random.Random, mean_ticks: int, u: float | None = None) -> i
 class Simulator:
     """Single-threaded event loop over a future-event list.
 
-    Events are heap entries [fire_at, seq, fn, arg, kind]; cancellation is
-    lazy (fn tombstoned to None) so schedule/cancel stay O(log n).
+    Events are heap entries [fire_at, seq, fn, arg, kind], and schedule()
+    returns the entry itself as the event's handle.  Cancellation is lazy:
+    cancel(entry) tombstones fn to None, and run_until does the same to an
+    entry as it fires it, so a handle cancels at most once and never after
+    its event ran.  schedule stays O(log n) and cancel O(1).
     """
 
     def __init__(self, master_seed: int = 1):
@@ -127,34 +130,34 @@ class Simulator:
         self.rng = RngManager(master_seed)
         self.stats = RunStats()
         self._heap: list[list] = []
-        self._pending: dict[int, list] = {}
+        self._tombstones = 0  # cancelled entries still in the heap
         self._next_seq = 0
 
     # target is unused; perfbench/layers.py passes it, and kind after it, by position
-    def schedule(self, fire_at: int, fn, arg=None, target: str = "", kind: str = "") -> int:
-        """Enqueue fn(arg) to run at fire_at; returns a cancellable event id."""
+    def schedule(self, fire_at: int, fn, arg=None, target: str = "", kind: str = "") -> list:
+        """Enqueue fn(arg) to run at fire_at; returns the entry as its cancel handle."""
         if fire_at < self.now:
             raise SchedulingInPast(f"fire_at={fire_at} < now={self.now}")
         seq = self._next_seq
         self._next_seq = seq + 1
         entry = [fire_at, seq, fn, arg, kind]
         heappush(self._heap, entry)
-        self._pending[seq] = entry
-        return seq
+        return entry
 
-    def schedule_in(self, delay: int, fn, arg=None, target: str = "", kind: str = "") -> int:
+    def schedule_in(self, delay: int, fn, arg=None, target: str = "", kind: str = "") -> list:
         return self.schedule(self.now + delay, fn, arg, target, kind)
 
-    def cancel(self, event_id: int) -> bool:
-        """Make a pending event inert; False if it already fired or is unknown."""
-        entry = self._pending.pop(event_id, None)
-        if entry is None:
+    def cancel(self, entry: list) -> bool:
+        """Make a pending event inert; False if it already fired or was cancelled."""
+        if entry[2] is None:
             return False
         entry[2] = None
+        self._tombstones += 1
         return True
 
     def pending_count(self) -> int:
-        return len(self._pending)
+        """Events still due to fire."""
+        return len(self._heap) - self._tombstones
 
     def run_until(self, t_end: int) -> RunStats:
         """Process all events with fire_at <= t_end in (fire_at, seq) order.
@@ -165,15 +168,15 @@ class Simulator:
         if t_end < self.now:
             raise SchedulingInPast(f"t_end={t_end} < now={self.now}")
         heap = self._heap
-        pending = self._pending
         stats = self.stats
         while heap and heap[0][0] <= t_end:
             entry = heappop(heap)
             fn = entry[2]
             if fn is None:
+                self._tombstones -= 1
                 continue
+            entry[2] = None
             self.now = entry[0]
-            del pending[entry[1]]
             stats.events_processed += 1
             try:
                 fn(entry[3])

@@ -17,7 +17,7 @@ from .simcore import US_PER_S, Simulator, exp_sample
 # added inside each network model.
 IP_UDP_RTP_OVERHEAD_BYTES = 40
 
-DIR_FORWARD = 0  # caller to callee
+DIR_FORWARD = 0  # index in Call.streams: caller to callee
 DIR_REVERSE = 1
 DIRECTION_LABELS = ("caller_to_callee", "callee_to_caller")
 
@@ -122,12 +122,9 @@ class MediaStream:
     DROPPED, or PENDING.
     """
 
-    __slots__ = ("call_id", "direction", "src", "dst", "codec", "t0", "n_packets", "recv")
+    __slots__ = ("src", "dst", "codec", "t0", "n_packets", "recv")
 
-    def __init__(self, call_id: int, direction: int, src: str, dst: str,
-                 codec: CodecProfile, t0: int, n_packets: int):
-        self.call_id = call_id
-        self.direction = direction
+    def __init__(self, src: str, dst: str, codec: CodecProfile, t0: int, n_packets: int):
         self.src = src
         self.dst = dst
         self.codec = codec
@@ -146,41 +143,21 @@ class MediaStream:
         self.recv[seq] = DROPPED
 
 
-class VoicePacket:
-    """A single voice frame in flight."""
-
-    __slots__ = ("stream", "seq", "size_bytes")
-
-    def __init__(self, stream: MediaStream, seq: int):
-        self.stream = stream
-        self.seq = seq
-        self.size_bytes = stream.codec.packet_size_bytes
-
-    @property
-    def src(self) -> str:
-        return self.stream.src
-
-    @property
-    def dst(self) -> str:
-        return self.stream.dst
-
-
 class Call:
-    """One established call and its two media streams."""
+    """One established call and its two media streams, forward then reverse."""
 
-    __slots__ = ("call_id", "caller", "callee", "t_established", "duration", "streams")
+    __slots__ = ("caller", "callee", "t_established", "duration", "streams")
 
-    def __init__(self, call_id: int, caller: str, callee: str,
-                 t_established: int, duration: int, codec: CodecProfile):
-        self.call_id = call_id
+    def __init__(self, caller: str, callee: str, t_established: int, duration: int,
+                 codec: CodecProfile):
         self.caller = caller
         self.callee = callee
         self.t_established = t_established
         self.duration = duration
         n = duration // codec.frame_interval_us
         self.streams = (
-            MediaStream(call_id, DIR_FORWARD, caller, callee, codec, t_established, n),
-            MediaStream(call_id, DIR_REVERSE, callee, caller, codec, t_established, n),
+            MediaStream(caller, callee, codec, t_established, n),
+            MediaStream(callee, caller, codec, t_established, n),
         )
 
 
@@ -205,7 +182,7 @@ class CallScheduler:
 
     Signaling is delegated to a session layer exposing
     initiate(caller, callee, on_established, on_closed) and teardown(session);
-    media packets are handed one by one to fabric.send_media.
+    each media packet is handed to fabric.send_media as its stream and seq.
     """
 
     def __init__(self, sim: Simulator, proc: CallProcess, codec: CodecProfile,
@@ -218,7 +195,6 @@ class CallScheduler:
         self.calls: list[Call] = []
         self._rng = sim.rng.stream(f"call-arrivals:{stream_name}")
         self._busy: set[str] = set()
-        self._next_call_id = 0
         self._pending_durations: dict[int, int] = {}  # session_id -> duration ticks
 
     def start(self) -> None:
@@ -255,9 +231,7 @@ class CallScheduler:
 
     def _on_established(self, session) -> None:
         duration = self._pending_durations.pop(session.session_id)
-        call = Call(self._next_call_id, session.caller, session.callee,
-                    self.sim.now, duration, self.codec)
-        self._next_call_id += 1
+        call = Call(session.caller, session.callee, self.sim.now, duration, self.codec)
         self.calls.append(call)
         self.sim.stats.calls_established += 1
         if call.streams[0].n_packets > 0:
@@ -278,7 +252,7 @@ class CallScheduler:
             stream.recv.append(PENDING)
             stats.packets_generated += 1
             stats.packets_in_flight += 1
-            self.fabric.send_media(VoicePacket(stream, seq))
+            self.fabric.send_media(stream, seq)
 
     def _end_call(self, session) -> None:
         self.sim.stats.calls_completed += 1

@@ -261,11 +261,11 @@ def test_lone_flow_has_zero_variation(capsys):
     out = run_scenario(spec)
     checks = [(out.stats.calls_established == 1, "expected exactly one call")]
     for call in out.calls:
-        for stream in call.streams:
+        for direction, stream in enumerate(call.streams):
             records = records_from_stream(stream)
             delays = {r.t_recv - r.t_send for r in records if r.t_recv is not None}
             checks.append((len(delays) == 1,
-                           f"direction {stream.direction}: delays {delays}"))
+                           f"direction {direction}: delays {delays}"))
             bucket = one_window(records, spec.run_length_us)
             checks.append((bucket.jitter_s == 0.0, "jitter not exactly 0"))
             checks.append((bucket.pdv_s2 == 0.0, "pdv not exactly 0"))

@@ -1,7 +1,10 @@
 """Command line surface: subcommands, exit codes, output locations."""
 
+import csv
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
@@ -64,10 +67,18 @@ def test_mos_heavy_delay_classifies_poor(capsys):
     assert "delay class Poor" in out
 
 
-def test_mos_rating_out_of_domain(capsys):
-    code, _, err = run_cli(capsys, "mos", "--r", "120")
+@pytest.mark.parametrize("argv", [
+    ("--r", "120"),
+    ("--delay", "100", "--loss", "-5"),
+    ("--delay", "100", "--loss", "250"),
+    ("--delay", "nan"),
+    ("--delay", "100", "--loss", "nan"),
+], ids=["r-120", "loss-negative", "loss-over-100", "delay-nan", "loss-nan"])
+def test_mos_rating_out_of_domain(capsys, argv):
+    code, out, err = run_cli(capsys, "mos", *argv)
     assert code == EXIT_CONFIG
     assert "error:" in err
+    assert out == ""
 
 
 def test_mos_rejects_mixed_inputs(capsys):
@@ -105,8 +116,37 @@ def test_run_builtin_with_reps(tmp_path, capsys):
                            "--seed", "10", "--reps", "2", "--out", str(tmp_path))
     assert code == EXIT_OK
     assert "seed=10" in out and "seed=11" in out
-    assert (tmp_path / "smoke-seed10.metrics.csv").exists()
-    assert (tmp_path / "smoke-seed11.metrics.csv").exists()
+    tables = []
+    for seed in (10, 11):
+        with open(tmp_path / f"smoke-seed{seed}.metrics.csv", newline="") as fh:
+            # drop the seed column, which differs whatever the draws
+            tables.append([row[:1] + row[2:] for row in csv.reader(fh)])
+    # repetitions are genuinely different draws
+    assert tables[0] != tables[1]
+
+
+def test_run_frees_each_repetition_before_the_next(tmp_path, capsys, monkeypatch):
+    import voipsim.cli as cli_mod
+
+    real = cli_mod.run_scenario
+    outputs = []
+    alive = []
+
+    def tracked(spec, **kwargs):
+        gc.collect()
+        alive.extend(ref() is not None for ref in outputs)
+        out = real(spec, **kwargs)
+        outputs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(cli_mod, "run_scenario", tracked)
+    ini = tmp_path / "smoke.ini"
+    ini.write_text(SHORT_INI)
+    code, _, _ = run_cli(capsys, "run", "--scenario", str(ini),
+                         "--reps", "3", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    # checked as repetitions 2 and 3 start: every earlier output is gone
+    assert alive == [False, False, False]
 
 
 def test_run_honours_out_env(tmp_path, capsys, monkeypatch):
@@ -185,7 +225,7 @@ def test_run_runtime_fault_exit_code(tmp_path, capsys, monkeypatch):
     def explode(spec, **kwargs):
         raise EventHandlerFault("handler died", RunStats())
 
-    monkeypatch.setattr(cli_mod, "run_repetitions", explode)
+    monkeypatch.setattr(cli_mod, "run_scenario", explode)
     ini = tmp_path / "smoke.ini"
     ini.write_text(SHORT_INI)
     code, _, err = run_cli(capsys, "run", "--scenario", str(ini))

@@ -62,12 +62,15 @@ def _spec(name):
     return validate(dataclasses.replace(spec, run_length_us=RUN_LENGTH_US))
 
 
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_metrics_csv_matches_golden_digest(name, tmp_path):
     out = run_scenario(_spec(name), seed=SEED, out_dir=str(tmp_path))
-    with open(out.csv_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    assert digest == GOLDEN_SHA256[name]
+    assert _sha256(out.csv_path) == GOLDEN_SHA256[name]
 
 
 # Two WiFi cells hand packets to one jittery, lossy cloud: its shared draws
@@ -98,13 +101,18 @@ duration_mean_s = 40
 """
 
 CONTENDED_SHA256 = "6e07f14ff9b226fc241800a613228c99a6a09363cc7ebb8a0737edc7e3576592"
+# the same run's per-packet segment trace and signaling transition log
+CONTENDED_TRACE_SHA256 = "aae0ba6599438c39ecc3971943eed62acb8413112ffc4d3c356f57aa2e28db38"
+CONTENDED_SESSIONS_SHA256 = "ddc7b41276d3388879efa827ebd1edfe619faf35589d31d2684d81dde2c301d1"
 
 
 def test_cross_cell_tie_order_matches_golden_digest(tmp_path):
     spec = validate(parse_scenario_text(CONTENDED_INI))
-    out = run_scenario(spec, seed=SEED, out_dir=str(tmp_path))
-    with open(out.csv_path, "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == CONTENDED_SHA256
+    out = run_scenario(spec, seed=SEED, out_dir=str(tmp_path), trace=True,
+                       session_log=True)
+    assert _sha256(out.csv_path) == CONTENDED_SHA256
+    assert _sha256(out.trace_path) == CONTENDED_TRACE_SHA256
+    assert _sha256(out.session_log_path) == CONTENDED_SESSIONS_SHA256
 
 
 # emit_scenario of each builtin; the spec digest in every manifest hashes it

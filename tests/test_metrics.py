@@ -121,7 +121,7 @@ def test_record_consistency_enforced():
 
 
 def test_records_from_stream_skips_in_flight():
-    s = MediaStream(3, 1, "a", "b", G711, t0=1_000, n_packets=4)
+    s = MediaStream("a", "b", G711, t0=1_000, n_packets=4)
     for _ in range(4):
         s.recv.append(PENDING)
     s.mark_delivered(0, 40_000)

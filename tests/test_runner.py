@@ -16,7 +16,6 @@ from voipsim.metrics import CSV_COLUMNS, QoSBucket, write_metrics_csv
 from voipsim.runner import (
     IncompatibleRuns,
     compare_runs,
-    run_repetitions,
     run_scenario,
 )
 from voipsim.scenario import builtin_scenario, spec_digest
@@ -24,11 +23,10 @@ from voipsim.simcore import EventHandlerFault, RunStats, Simulator
 from voipsim.traffic import DIR_FORWARD, DIR_REVERSE
 
 
-def short_spec(name="wifi-wifi", run_s=60, warm_s=10, seed=7, reps=1):
+def short_spec(name="wifi-wifi", run_s=60, warm_s=10, seed=7):
     spec = builtin_scenario(name)
     return replace(spec, run_length_us=run_s * 1_000_000,
-                   warm_up_us=warm_s * 1_000_000, master_seed=seed,
-                   repetitions=reps)
+                   warm_up_us=warm_s * 1_000_000, master_seed=seed)
 
 
 def read_file(path):
@@ -147,16 +145,30 @@ def test_outputs_honour_the_umask(tmp_path, umask):
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
 
 
-def test_repetitions_step_the_seed(tmp_path):
-    spec = short_spec(run_s=120, warm_s=5, seed=5, reps=3)
-    outs = run_repetitions(spec, out_dir=str(tmp_path))
-    assert [o.seed for o in outs] == [5, 6, 7]
+def test_repetitions_step_the_seed(tmp_path, monkeypatch, capsys):
+    import voipsim.cli as cli_mod
+
+    spec = replace(short_spec(run_s=120, warm_s=5, seed=5), repetitions=3)
+    monkeypatch.setattr(cli_mod, "_resolve_scenario", lambda token: spec)
+    real = cli_mod.run_scenario
+    seen = []
+
+    def tracked(spec, **kwargs):
+        out = real(spec, **kwargs)
+        seen.append((out.seed, out.stats.events_processed))
+        return out
+
+    monkeypatch.setattr(cli_mod, "run_scenario", tracked)
+    assert cli_mod.main(["run", "--scenario", "short",
+                         "--out", str(tmp_path)]) == cli_mod.EXIT_OK
+    capsys.readouterr()
+    assert [seed for seed, _ in seen] == [5, 6, 7]
     names = sorted(p.name for p in tmp_path.iterdir())
     assert "wifi-wifi-seed5.metrics.csv" in names
     assert "wifi-wifi-seed6.metrics.csv" in names
     assert "wifi-wifi-seed7.metrics.csv" in names
     # repetitions are genuinely different draws
-    assert len({o.stats.events_processed for o in outs}) == 3
+    assert len({events for _, events in seen}) == 3
 
 
 def test_partial_manifest_on_fault(tmp_path, monkeypatch):

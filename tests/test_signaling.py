@@ -226,7 +226,7 @@ def test_replayed_invite_is_a_violation():
                              on_closed=lambda s: None)
     sim.run_until(seconds(1))
     assert session.state == ESTABLISHED
-    layer._deliver(SipMessage(INVITE, session, "a", "b"), sim.now)
+    layer._deliver(SipMessage(INVITE, session, "b"), sim.now)
     assert session.state == CLOSED
 
 
@@ -239,7 +239,7 @@ def test_message_in_closed_session_is_ignored():
     layer.teardown(session)
     sim.run_until(seconds(2))
     before = sim.stats.calls_failed_setup
-    layer._deliver(SipMessage(INVITE, session, "a", "b"), sim.now)
+    layer._deliver(SipMessage(INVITE, session, "b"), sim.now)
     assert session.state == CLOSED
     assert sim.stats.calls_failed_setup == before
 

@@ -66,13 +66,45 @@ def test_run_until_is_inclusive_and_resumable():
 def test_cancelled_event_never_fires():
     sim = Simulator()
     fired = []
-    eid = sim.schedule(100, fired.append, "x")
-    sim.schedule(100, fired.append, "y")
-    assert sim.cancel(eid) is True
-    assert sim.cancel(eid) is False  # second cancel is a no-op
+    handle = sim.schedule(100, fired.append, "x")
+    done = sim.schedule(100, fired.append, "y")
+    assert sim.cancel(handle) is True
+    assert sim.cancel(handle) is False  # second cancel is a no-op
     sim.run_until(1_000)
     assert fired == ["y"]
-    assert sim.cancel(12345) is False
+    assert sim.cancel(done) is False  # already fired
+
+
+def test_pending_count_tracks_live_events_across_cancels():
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(100, fired.append, "first")
+    sim.schedule(200, fired.append, "second")
+    assert sim.pending_count() == 2
+    sim.cancel(first)
+    assert sim.pending_count() == 1
+    sim.run_until(150)  # pops the tombstone
+    assert fired == []
+    assert sim.pending_count() == 1
+
+    # a handler cancels an event due in the same tick
+    victim = []
+
+    def cancel_victim(_):
+        fired.append("canceller")
+        sim.cancel(victim[0])
+        assert sim.pending_count() == 1  # only "last" is still live
+
+    sim.schedule(300, cancel_victim)
+    victim.append(sim.schedule(300, fired.append, "victim"))
+    sim.schedule(400, fired.append, "last")
+    assert sim.pending_count() == 4
+    sim.run_until(300)
+    assert fired == ["second", "canceller"]
+    assert sim.pending_count() == 1
+    sim.run_until(500)
+    assert fired == ["second", "canceller", "last"]
+    assert sim.pending_count() == 0
 
 
 def test_handler_may_schedule_more_work():

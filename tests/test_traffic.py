@@ -53,18 +53,18 @@ def test_codec_rejects_negative_impairment():
 
 def test_call_packet_budget():
     codec = CODECS["g711"]
-    call = Call(0, "a", "b", t_established=0, duration=seconds(180), codec=codec)
+    call = Call("a", "b", t_established=0, duration=seconds(180), codec=codec)
     assert call.streams[DIR_FORWARD].n_packets == 9_000
     assert call.streams[DIR_REVERSE].n_packets == 9_000
 
 
 def test_zero_duration_call_has_no_packets():
-    call = Call(0, "a", "b", t_established=0, duration=0, codec=CODECS["g711"])
+    call = Call("a", "b", t_established=0, duration=0, codec=CODECS["g711"])
     assert call.streams[0].n_packets == 0
 
 
 def test_stream_sends_follow_frame_interval():
-    call = Call(3, "a", "b", t_established=1_234, duration=seconds(1), codec=CODECS["g711"])
+    call = Call("a", "b", t_established=1_234, duration=seconds(1), codec=CODECS["g711"])
     fwd = call.streams[DIR_FORWARD]
     # send times are implicit: t0 + seq * frame interval
     assert fwd.t0 == 1_234
@@ -131,9 +131,9 @@ class _SinkFabric:
         self.sim = sim
         self.sent = []
 
-    def send_media(self, packet):
-        self.sent.append((packet.stream.direction, packet.seq, self.sim.now))
-        packet.stream.mark_delivered(packet.seq, self.sim.now)
+    def send_media(self, stream, seq):
+        self.sent.append((stream, seq, self.sim.now))
+        stream.mark_delivered(seq, self.sim.now)
         self.sim.stats.packets_delivered += 1
         self.sim.stats.packets_in_flight -= 1
 
