@@ -159,9 +159,7 @@ class QoSBucket:
 
 
 def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
-              width_us: int, warm_up_us: int = 0,
-              is_factor: float = DEFAULT_IS,
-              advantage: float = DEFAULT_ADVANTAGE) -> list[QoSBucket]:
+              width_us: int, warm_up_us: int = 0) -> list[QoSBucket]:
     """Fold per-stream records into fixed windows over [0, run_length).
 
     stream_records: iterable of per-stream record lists (each seq-ordered).
@@ -213,10 +211,8 @@ def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
         mean_e2e_ms = float((mean_dn_us + codec_us) / 1_000)
         var_us2 = Fraction(n * sumsqs[w] - sums[w] * sums[w], n * n)
         loss_pct = 100.0 * drops[w] / (n + drops[w])
-        r = r_factor(EModelInputs(is_factor=is_factor, ie=codec.ie,
-                                  ppl_pct=loss_pct, bpl=codec.bpl,
-                                  id_factor=id_from_delay(mean_e2e_ms),
-                                  advantage=advantage))
+        r = r_factor(EModelInputs(ie=codec.ie, ppl_pct=loss_pct, bpl=codec.bpl,
+                                  id_factor=id_from_delay(mean_e2e_ms)))
         jit = jmax[w]
         jitter_s = None if jit is None else jit / 1_000_000
         buckets.append(QoSBucket(

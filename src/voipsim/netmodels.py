@@ -24,6 +24,7 @@ from .simcore import Simulator, SimError
 
 WIFI_ACK_BYTES = 14
 WIFI_ACK_RATE_BPS = 1_000_000  # control frames at 802.11b base rate
+WIFI_ACK_US = round(WIFI_ACK_BYTES * 8 * 1_000_000 / WIFI_ACK_RATE_BPS)
 
 # drop reasons as they appear in stats and segment traces
 DROP_QUEUE_OVERFLOW = "queue-overflow"
@@ -67,6 +68,12 @@ class WifiParams:
         if self.queue_cap <= 0:
             raise ValueError("queue_cap must be > 0")
 
+    def exchange_us(self, size_bytes: int) -> int:
+        """Medium occupancy of one successful exchange: data + SIFS + ACK."""
+        data = round((size_bytes + self.phy_mac_overhead_bytes) * 8 * 1_000_000
+                     / self.data_rate_bps)
+        return data + self.sifs_us + WIFI_ACK_US
+
 
 @dataclass(frozen=True)
 class UmtsParams:
@@ -94,6 +101,12 @@ class UmtsParams:
             raise ValueError("delays must be >= 0")
         if self.queue_cap <= 0:
             raise ValueError("queue_cap must be > 0")
+
+    @property
+    def pipe_us(self) -> int:
+        """The fixed chain after the air link: interleave + Iub + RNC + CN."""
+        return (self.air_interleave_delay_us + self.nodeb_rnc_delay_us
+                + self.rnc_proc_delay_us + self.cn_delay_us)
 
 
 @dataclass(frozen=True)
@@ -184,8 +197,7 @@ class WifiCell:
         self._busy_until = 0
         self._round_event: list | None = None
         self._round_t0 = 0
-        self._ack_us = round(WIFI_ACK_BYTES * 8 * 1_000_000 / WIFI_ACK_RATE_BPS)
-        self._exchange: dict[int, int] = {}
+        self._exchange: dict[int, int] = {}  # size_bytes -> exchange_us
 
     def bind(self, fabric: "Fabric") -> None:
         self.fabric = fabric
@@ -197,13 +209,10 @@ class WifiCell:
         return [(f"wifi-down:{self.name}", self._enqueue, self._contenders[self.ap_id])]
 
     def exchange_us(self, size_bytes: int) -> int:
-        """Medium occupancy of one successful exchange: data + SIFS + ACK."""
+        """WifiParams.exchange_us, cached per size."""
         us = self._exchange.get(size_bytes)
         if us is None:
-            p = self.params
-            data = round((size_bytes + p.phy_mac_overhead_bytes) * 8 * 1_000_000
-                         / p.data_rate_bps)
-            us = self._exchange[size_bytes] = data + p.sifs_us + self._ack_us
+            us = self._exchange[size_bytes] = self.params.exchange_us(size_bytes)
         return us
 
     # -- DCF mechanics --------------------------------------------------
@@ -328,10 +337,8 @@ class UmtsCell:
         self._rng = sim.rng.stream(f"umts-bler:{name}")
         self._up = {ue: _Bearer() for ue in ues}
         self._down = {ue: _Bearer() for ue in ues}
-        # uplink: air first, then interleave + Iub + RNC + CN toward the cloud;
-        # downlink mirrors it
-        self.pipe_us = (params.air_interleave_delay_us + params.nodeb_rnc_delay_us
-                        + params.rnc_proc_delay_us + params.cn_delay_us)
+        # uplink: air first, then the pipe toward the cloud; downlink mirrors it
+        self.pipe_us = params.pipe_us
 
     def bind(self, fabric: "Fabric") -> None:
         self.fabric = fabric
@@ -445,7 +452,6 @@ class Fabric:
         self.cloud = cloud
         self.tracer = tracer
         self.cells_by_ws: dict[str, object] = {}
-        self.cells: list = []
         self._paths: dict[tuple, list] = {}
         self._fixed: dict[str, tuple[int, str]] = {}
         self._next_pid = 0
@@ -461,7 +467,6 @@ class Fabric:
 
     def attach_cell(self, cell) -> None:
         cell.bind(self)
-        self.cells.append(cell)
         for ws in cell.stations:
             if ws in self.cells_by_ws:
                 raise ValueError(f"workstation {ws} already attached")

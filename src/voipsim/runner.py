@@ -15,7 +15,7 @@ from .netmodels import Fabric, IpCloud, PathTracer, UmtsCell, WifiCell
 from .scenario import ScenarioSpec, SubnetSpec, spec_as_dict, spec_digest
 from .signaling import SessionLayer
 from .simcore import EventHandlerFault, RunStats, SimError, Simulator
-from .traffic import CODECS, DIR_FORWARD, DIR_REVERSE, CallProcess, CallScheduler
+from .traffic import CODECS, DIR_FORWARD, DIR_REVERSE, CallScheduler
 
 
 class IncompatibleRuns(SimError):
@@ -94,22 +94,15 @@ def run_scenario(spec: ScenarioSpec, *, seed: int | None = None,
     for subnet in spec.subnets:
         fabric.attach_cell(build_cell(sim, subnet))
     log_lines: list[str] | None = [] if session_log else None
-    layer = SessionLayer(sim, fabric,
-                         answer_delay_us=spec.calls.answer_delay_us,
-                         invite_timeout_us=spec.calls.invite_timeout_us,
-                         session_log=log_lines)
+    layer = SessionLayer(sim, fabric, spec.calls, session_log=log_lines)
     for subnet in spec.subnets:
         layer.register_all(subnet.workstations())
     by_name = {s.name: s for s in spec.subnets}
-    proc = CallProcess(
-        inter_arrival_mean_us=spec.calls.inter_arrival_us,
-        duration_mean_us=spec.calls.duration_mean_us,
-        caller_pool=by_name[spec.calls.caller_subnet].workstations(),
-        callee_pool=by_name[spec.calls.callee_subnet].workstations(),
-    )
     codec = CODECS[spec.codec]
-    scheduler = CallScheduler(sim, proc, codec, layer, fabric,
-                              stream_name=spec.calls.caller_subnet)
+    scheduler = CallScheduler(sim, spec.calls,
+                              by_name[spec.calls.caller_subnet].workstations(),
+                              by_name[spec.calls.callee_subnet].workstations(),
+                              codec, layer, fabric)
     scheduler.start()
 
     base = None

@@ -9,7 +9,8 @@ field named *_us (an integer microsecond count) is keyed *_<unit> and read
 as a float in that unit; any other int, float or str field keeps its name
 and type.  The units are s for [scenario] (ScenarioSpec) and [calls]
 (CallSpec), us for a wifi subnet (WifiParams), and ms for a umts subnet
-(UmtsParams) and [cloud] (CloudSpec).
+(UmtsParams) and [cloud] (CloudSpec).  CallSpec lives in traffic.py and the
+others in netmodels.py, beside the code that reads them.
 
 Grammar (all keys optional unless noted; values are numbers or names):
 
@@ -49,8 +50,9 @@ import re
 from dataclasses import dataclass, fields, replace
 
 from .netmodels import CloudSpec, UmtsParams, WifiParams
+from .signaling import PROXY_PROC_US, SIP_MESSAGE_BYTES
 from .simcore import US_PER_MS, US_PER_S, SimError
-from .traffic import CODECS, DEFAULT_CODEC
+from .traffic import CODECS, DEFAULT_CODEC, CallSpec
 
 NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -91,16 +93,6 @@ class SubnetSpec:
 
     def workstations(self) -> list[str]:
         return [f"{self.name}-ws{i}" for i in range(1, self.stations + 1)]
-
-
-@dataclass(frozen=True)
-class CallSpec:
-    inter_arrival_us: int = 60_000_000
-    duration_mean_us: int = 180_000_000
-    caller_subnet: str = ""
-    callee_subnet: str = ""
-    answer_delay_us: int = 2_000_000
-    invite_timeout_us: int = 32_000_000
 
 
 @dataclass(frozen=True)
@@ -165,16 +157,29 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
     check_params(spec.cloud, _KEYS["cloud"], "cloud ")
     if spec.calls.caller_subnet not in names or spec.calls.callee_subnet not in names:
         fail("calls must reference the declared subnets")
-    if spec.calls.inter_arrival_us <= 0 or spec.calls.duration_mean_us <= 0:
-        fail("call means must be > 0")
-    if spec.calls.answer_delay_us < 0:
-        fail("answer_delay_s must be >= 0")
-    if spec.calls.invite_timeout_us <= 0:
-        fail("invite_timeout_s must be > 0")
-    if spec.calls.invite_timeout_us <= spec.calls.answer_delay_us:
-        # the timer would close every session before its 200 is sent
-        fail("invite_timeout_s must exceed answer_delay_s")
+    check_params(spec.calls, _KEYS["calls"], "calls ")
+    least = least_setup_us(spec)
+    if spec.calls.invite_timeout_us <= least:
+        # the timer would close every session before its ACK arrives
+        fail(f"invite_timeout_s must exceed answer_delay_s plus three one-way "
+             f"SIP transits, {least / US_PER_S} s in all")
     return spec
+
+
+def least_setup_us(spec: ScenarioSpec) -> int:
+    """Least INVITE-to-ACK time of any session: the answer delay plus three
+    one-way SIP transits (INVITE, 200, ACK), each over both access legs, the
+    cloud twice (to the proxy and on) and one proxy relay."""
+    legs = 0
+    for name in (spec.calls.caller_subnet, spec.calls.callee_subnet):
+        p = next(s.params for s in spec.subnets if s.name == name)
+        # a WiFi newcomer folded into a running countdown may send at once,
+        # with no DIFS; a UMTS packet waits at least one TTI on the air
+        legs += (p.exchange_us(SIP_MESSAGE_BYTES) if isinstance(p, WifiParams)
+                 else p.tti_us + p.pipe_us)
+    cloud = spec.cloud
+    one_way = legs + 2 * (cloud.base_delay_us - cloud.jitter_half_width_us) + PROXY_PROC_US
+    return spec.calls.answer_delay_us + 3 * one_way
 
 
 # -- parsing -----------------------------------------------------------------

@@ -3,7 +3,8 @@
 One shared state machine per session walks Idle, Inviting, Ringing,
 Established, Terminating, Closed; any state may fall to Closed on timeout or
 protocol violation.  Every message travels caller -> proxy -> callee through
-the same network fabric as media, so setup delay is real transport delay.
+the same network fabric as media, so setup delay is real transport delay,
+plus PROXY_PROC_US at the proxy for each relay.
 Media gating and busy tracking are the caller's job: the call scheduler
 pairs only idle stations, starts frames on the established callback and stops
 them at the scheduled call end.
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 from .netmodels import Fabric
 from .simcore import SimError, Simulator
+from .traffic import CallSpec
 
 SIP_MESSAGE_BYTES = 500  # uniform size; SIP is text, a few hundred bytes
+PROXY_PROC_US = 1_000  # proxy processing time per relayed message
 
 IDLE = "Idle"
 INVITING = "Inviting"
@@ -71,20 +74,15 @@ class SessionLayer:
     """Drives SIP sessions over a fabric.
 
     The fabric only needs send(item, size_bytes, src, dst, on_end, on_fail);
-    the proxy is the endpoint named Fabric.PROXY, adding a fixed processing
-    delay per relay.
+    the proxy is the endpoint named Fabric.PROXY, adding PROXY_PROC_US per
+    relay.  The answer delay and INVITE timer are read from calls.
     """
 
-    def __init__(self, sim: Simulator, fabric, *,
-                 answer_delay_us: int = 2_000_000,
-                 invite_timeout_us: int = 32_000_000,
-                 proxy_proc_us: int = 1_000,
+    def __init__(self, sim: Simulator, fabric, calls: CallSpec, *,
                  session_log: list[str] | None = None):
         self.sim = sim
         self.fabric = fabric
-        self.answer_delay_us = answer_delay_us
-        self.invite_timeout_us = invite_timeout_us
-        self.proxy_proc_us = proxy_proc_us
+        self.spec = calls
         self.session_log = session_log
         self.registered: set[str] = set()  # URIs the proxy can route to
         self.sessions: list[SipSession] = []
@@ -108,7 +106,7 @@ class SessionLayer:
         self.sessions.append(session)
         self._transition(session, INVITING)
         session._timeout_event = self.sim.schedule_in(
-            self.invite_timeout_us, self._on_timeout, session, kind="sip-timeout")
+            self.spec.invite_timeout_us, self._on_timeout, session, kind="sip-timeout")
         self._send(session, INVITE, caller, callee)
         return session
 
@@ -121,7 +119,7 @@ class SessionLayer:
         # same liveness escape as INVITE: a lost BYE or its 200 must not pin
         # the pair busy forever
         session._timeout_event = self.sim.schedule_in(
-            self.invite_timeout_us, self._on_timeout, session, kind="sip-timeout")
+            self.spec.invite_timeout_us, self._on_timeout, session, kind="sip-timeout")
         self._send(session, BYE, session.caller, session.callee)
 
     # -- transport -------------------------------------------------------
@@ -133,7 +131,7 @@ class SessionLayer:
                          self._at_proxy, self._msg_lost)
 
     def _at_proxy(self, msg: SipMessage, _t: int) -> None:
-        self.sim.schedule_in(self.proxy_proc_us, self._relay, msg, kind="sip-relay")
+        self.sim.schedule_in(PROXY_PROC_US, self._relay, msg, kind="sip-relay")
 
     def _relay(self, msg: SipMessage) -> None:
         self.fabric.send(msg, SIP_MESSAGE_BYTES, Fabric.PROXY, msg.dst,
@@ -156,7 +154,7 @@ class SessionLayer:
                 return
             self._send(session, RINGING_180, session.callee, session.caller)
             session._answer_event = self.sim.schedule_in(
-                self.answer_delay_us, self._on_answer, session, kind="sip-answer")
+                self.spec.answer_delay_us, self._on_answer, session, kind="sip-answer")
         elif kind == RINGING_180:
             if session.answered:
                 return  # provisional after the final response: discarded (RFC 3261)

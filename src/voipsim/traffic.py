@@ -3,7 +3,8 @@
 Calls arrive per an exponential process, last an exponential duration (3 min
 mean) and carry one codec frame per packet in both directions.  Workstations
 run in serial mode: a station is in at most one call at a time, and arrivals
-that find no idle pair are dropped and counted, not queued.
+that find no idle pair are dropped and counted, not queued.  CallSpec owns
+the call layer's parameters; the scheduler and the SIP layer take it whole.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ class CodecProfile:
     bpl: float  # robustness against packet loss
     encode_delay_us: int
     decode_delay_us: int
-    compress_delay_us: int = 0
-    decompress_delay_us: int = 0
 
     def __post_init__(self):
         # framing consistency: payload_bytes * 8 / (frame_interval in s) == bitrate
@@ -46,24 +45,13 @@ class CodecProfile:
             )
         if self.ie < 0:
             raise ValueError(f"{self.name}: Ie must be >= 0")
-        for part in (
-            self.encode_delay_us,
-            self.decode_delay_us,
-            self.compress_delay_us,
-            self.decompress_delay_us,
-        ):
-            if part < 0:
-                raise ValueError(f"{self.name}: delay components must be >= 0")
+        if self.encode_delay_us < 0 or self.decode_delay_us < 0:
+            raise ValueError(f"{self.name}: delay components must be >= 0")
 
     @property
     def codec_delay_us(self) -> int:
-        """Encode + decode + compress + decompress, the non-network delay share."""
-        return (
-            self.encode_delay_us
-            + self.decode_delay_us
-            + self.compress_delay_us
-            + self.decompress_delay_us
-        )
+        """Encode + decode, the non-network delay share."""
+        return self.encode_delay_us + self.decode_delay_us
 
     @property
     def packet_size_bytes(self) -> int:
@@ -161,20 +149,26 @@ class Call:
         )
 
 
-@dataclass
-class CallProcess:
-    """Arrival process between two workstation pools, serial mode."""
+@dataclass(frozen=True)
+class CallSpec:
+    """The call layer's parameters: arrival and duration means, the two
+    subnets calls run between, and the SIP answer delay and INVITE timer."""
 
-    inter_arrival_mean_us: int
-    duration_mean_us: int
-    caller_pool: list[str]
-    callee_pool: list[str]
+    inter_arrival_us: int = 60_000_000
+    duration_mean_us: int = 180_000_000
+    caller_subnet: str = ""
+    callee_subnet: str = ""
+    answer_delay_us: int = 2_000_000
+    invite_timeout_us: int = 32_000_000
 
-    def __post_init__(self):
-        if self.inter_arrival_mean_us <= 0:
-            raise ValueError("inter_arrival mean must be > 0")
-        if self.duration_mean_us <= 0:
-            raise ValueError("duration mean must be > 0")
+    def check(self) -> None:
+        """Raise ValueError for the first rule broken, its message led by the
+        field's name (validate() reports it under the config key)."""
+        for key in ("inter_arrival_us", "duration_mean_us", "invite_timeout_us"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0")
+        if self.answer_delay_us < 0:
+            raise ValueError("answer_delay_us must be >= 0")
 
 
 class CallScheduler:
@@ -185,15 +179,18 @@ class CallScheduler:
     each media packet is handed to fabric.send_media as its stream and seq.
     """
 
-    def __init__(self, sim: Simulator, proc: CallProcess, codec: CodecProfile,
-                 session_layer, fabric, stream_name: str = "calls"):
+    def __init__(self, sim: Simulator, calls: CallSpec, caller_pool: list[str],
+                 callee_pool: list[str], codec: CodecProfile, session_layer, fabric):
+        calls.check()
         self.sim = sim
-        self.proc = proc
+        self.spec = calls
+        self.caller_pool = caller_pool
+        self.callee_pool = callee_pool
         self.codec = codec
         self.session_layer = session_layer
         self.fabric = fabric
         self.calls: list[Call] = []
-        self._rng = sim.rng.stream(f"call-arrivals:{stream_name}")
+        self._rng = sim.rng.stream(f"call-arrivals:{calls.caller_subnet}")
         self._busy: set[str] = set()
         self._pending_durations: dict[int, int] = {}  # session_id -> duration ticks
 
@@ -201,24 +198,24 @@ class CallScheduler:
         self._schedule_next_arrival()
 
     def _schedule_next_arrival(self) -> None:
-        gap = exp_sample(self._rng, self.proc.inter_arrival_mean_us)
+        gap = exp_sample(self._rng, self.spec.inter_arrival_us)
         self.sim.schedule_in(gap, self._on_arrival, kind="call-arrival")
 
     def _on_arrival(self, _arg) -> None:
         self._schedule_next_arrival()
         stats = self.sim.stats
-        idle_callers = [w for w in self.proc.caller_pool if w not in self._busy]
+        idle_callers = [w for w in self.caller_pool if w not in self._busy]
         if not idle_callers:
             stats.calls_blocked += 1
             return
         caller = self._rng.choice(idle_callers)
-        idle_callees = [w for w in self.proc.callee_pool
+        idle_callees = [w for w in self.callee_pool
                         if w not in self._busy and w != caller]
         if not idle_callees:
             stats.calls_blocked += 1
             return
         callee = self._rng.choice(idle_callees)
-        duration = exp_sample(self._rng, self.proc.duration_mean_us)
+        duration = exp_sample(self._rng, self.spec.duration_mean_us)
         self._busy.add(caller)
         self._busy.add(callee)
         stats.calls_started += 1

@@ -209,6 +209,43 @@ def test_run_negative_answer_delay_is_config_error(tmp_path, capsys):
     assert "answer_delay_s must be >= 0" in err
 
 
+UMTS_FAST_TIMEOUT_INI = """\
+[scenario]
+name = fast-timeout
+run_length_s = 600
+
+[subnet.new-york]
+kind = umts
+bler = 0.3
+max_rlc_retx = 3
+
+[subnet.california]
+kind = umts
+bler = 0.3
+max_rlc_retx = 3
+
+[cloud]
+jitter_half_width_ms = 0
+
+[calls]
+answer_delay_s = 0
+invite_timeout_s = 0.1
+"""
+
+
+def test_run_unbeatable_invite_timeout_is_config_error(tmp_path, capsys):
+    # each of the INVITE, 200 and ACK takes at least 291 ms here (two UMTS
+    # legs of one TTI plus the pipe, the cloud twice, one proxy relay), so
+    # every setup would time out
+    ini = tmp_path / "fast-timeout.ini"
+    ini.write_text(UMTS_FAST_TIMEOUT_INI)
+    code, _, err = run_cli(capsys, "run", "--scenario", str(ini), "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "invite_timeout_s must exceed answer_delay_s" in err
+    assert "0.873 s" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
 def test_run_infinite_delay_is_config_error(tmp_path, capsys, value):
     ini = tmp_path / "smoke.ini"

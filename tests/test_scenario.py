@@ -187,12 +187,14 @@ def test_validation_rules():
         validate(mutate(cloud=CloudSpec(1_000, 0, 1.5)))
     with pytest.raises(ValidationError, match="reference the declared"):
         validate(mutate(calls=CallSpec(caller_subnet="hawaii", callee_subnet="mars")))
-    with pytest.raises(ValidationError, match="means must be > 0"):
+    with pytest.raises(ValidationError, match="inter_arrival_s must be > 0"):
         validate(mutate(calls=CallSpec(0, 1, "hawaii", "florida")))
 
 
 @pytest.mark.parametrize("section, key, message", [
     ("cloud", "jitter_half_width_ms = -5", "jitter_half_width_ms must be >= 0"),
+    ("calls", "inter_arrival_s = 0", "inter_arrival_s must be > 0"),
+    ("calls", "duration_mean_s = 0", "duration_mean_s must be > 0"),
     ("calls", "answer_delay_s = -1", "answer_delay_s must be >= 0"),
     ("calls", "invite_timeout_s = 0", "invite_timeout_s must be > 0"),
     ("calls", "answer_delay_s = 40", "invite_timeout_s must exceed answer_delay_s"),

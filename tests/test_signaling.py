@@ -1,13 +1,27 @@
 """Registration, the INVITE handshake, teardown, timeouts and violations."""
 
+from dataclasses import replace
+
 import pytest
 
+from voipsim.runner import run_scenario
+from voipsim.scenario import (
+    CloudSpec,
+    ScenarioSpec,
+    SubnetSpec,
+    UmtsParams,
+    WifiParams,
+    builtin_scenario,
+    least_setup_us,
+    validate,
+)
 from voipsim.signaling import (
     ACK,
     CLOSED,
     ESTABLISHED,
     INVITE,
     INVITING,
+    PROXY_PROC_US,
     RINGING,
     RINGING_180,
     TERMINATING,
@@ -17,6 +31,7 @@ from voipsim.signaling import (
     SipMessage,
 )
 from voipsim.simcore import Simulator, seconds
+from voipsim.traffic import CallSpec
 
 
 class ZeroFabric:
@@ -56,8 +71,7 @@ class ScriptedFabric(ZeroFabric):
 
 def make_layer(sim, fabric, **kwargs):
     kwargs.setdefault("answer_delay_us", 0)
-    kwargs.setdefault("proxy_proc_us", 0)
-    layer = SessionLayer(sim, fabric, session_log=[], **kwargs)
+    layer = SessionLayer(sim, fabric, CallSpec(**kwargs), session_log=[])
     layer.register_all(["a", "b", "c"])
     return layer
 
@@ -71,7 +85,8 @@ def test_reregistration_is_idempotent():
     layer.register_all(["a", "b", "d"])
     assert layer.registered == {"a", "b", "c", "d"}
     session = layer.initiate("a", "d", None, None)
-    sim.run_until(0)
+    # one proxy relay each for the INVITE, the 200 and the ACK
+    sim.run_until(3 * PROXY_PROC_US)
     assert session.state == ESTABLISHED
 
 
@@ -87,7 +102,8 @@ def test_zero_latency_establishes_at_invite_time():
     sim.run_until(seconds(1))
     assert done == [session]
     assert session.state == ESTABLISHED
-    assert session.t_established == session.t_invite
+    # zero transport: only the INVITE, 200 and ACK relays at the proxy
+    assert session.t_established == session.t_invite + 3 * PROXY_PROC_US
     # exactly one INVITE/180/200/ACK quadruple
     assert sim.stats.sip_messages_sent == 4
     assert sim.stats.sip_messages_delivered == 4
@@ -100,7 +116,7 @@ def test_answer_delay_shifts_establishment():
                              on_closed=lambda s: None)
     sim.run_until(seconds(5))
     assert session.state == ESTABLISHED
-    assert session.t_established == session.t_invite + seconds(2)
+    assert session.t_established == session.t_invite + seconds(2) + 3 * PROXY_PROC_US
 
 
 def test_full_lifecycle_transitions_logged():
@@ -254,3 +270,32 @@ def test_every_session_closed_audit():
     layer.teardown(s1)
     sim.run_until(seconds(2))
     assert all(s.state == CLOSED for s in layer.sessions)
+
+
+# -- the validated setup bound -------------------------------------------------
+
+CALL_STORM = ScenarioSpec(
+    name="storm",
+    subnets=(SubnetSpec("wlan", WifiParams(), 32),
+             SubnetSpec("cell", UmtsParams(bler=0.1, max_rlc_retx=2), 32)),
+    cloud=CloudSpec(base_delay_us=30_000, jitter_half_width_us=5_000, loss_prob=0.01),
+    calls=CallSpec(inter_arrival_us=100_000, duration_mean_us=200_000,
+                   caller_subnet="wlan", callee_subnet="cell"),
+    codec="g729",
+    run_length_us=seconds(60),
+    warm_up_us=0,
+)
+
+
+@pytest.mark.parametrize("spec", [
+    CALL_STORM,
+    replace(builtin_scenario("umts-umts"), run_length_us=seconds(600)),
+], ids=["call-storm", "umts-umts"])
+def test_no_session_sets_up_faster_than_the_validated_bound(spec):
+    spec = validate(spec)
+    bound = least_setup_us(spec)
+    layer = run_scenario(spec).session_layer
+    setups = [s.t_established - s.t_invite for s in layer.sessions
+              if s.t_established is not None]
+    assert setups, "expected established sessions"
+    assert min(setups) >= bound

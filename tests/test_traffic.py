@@ -13,8 +13,8 @@ from voipsim.traffic import (
     IP_UDP_RTP_OVERHEAD_BYTES,
     PENDING,
     Call,
-    CallProcess,
     CallScheduler,
+    CallSpec,
     CodecProfile,
 )
 
@@ -98,10 +98,10 @@ def test_duration_sampling_mean():
 
 
 def test_call_process_rejects_bad_means():
-    with pytest.raises(ValueError):
-        CallProcess(0, 1, ["a"], ["b"])
-    with pytest.raises(ValueError):
-        CallProcess(1, 0, ["a"], ["b"])
+    with pytest.raises(ValueError, match="inter_arrival_us must be > 0"):
+        CallSpec(0, 1).check()
+    with pytest.raises(ValueError, match="duration_mean_us must be > 0"):
+        CallSpec(1, 0).check()
 
 
 class _InstantLayer:
@@ -142,8 +142,9 @@ def _run_scheduler(seed, inter_s, dur_s, callers, callees, horizon_s):
     sim = Simulator(master_seed=seed)
     fabric = _SinkFabric(sim)
     layer = _InstantLayer(sim)
-    proc = CallProcess(seconds(inter_s), seconds(dur_s), callers, callees)
-    sched = CallScheduler(sim, proc, CODECS["g711"], layer, fabric)
+    # the arrival stream is named after the caller subnet
+    calls = CallSpec(seconds(inter_s), seconds(dur_s), caller_subnet="calls")
+    sched = CallScheduler(sim, calls, callers, callees, CODECS["g711"], layer, fabric)
     sched.start()
     sim.run_until(seconds(horizon_s))
     return sim, sched, fabric
