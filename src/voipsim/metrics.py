@@ -1,22 +1,21 @@
 """QoS metrics engine: transmission rating and MOS, jitter, delay, PDV.
 
 bucketize is the one place jitter, PDV and mouth-to-ear delay are defined.
-Packet arithmetic stays in integer microseconds (PDV in exact rationals)
-until the final conversion to float seconds, so results are reproducible to
-the last bit.  Jitter is the signed maximum over seq-consecutive delivered
-pairs; PDV is the population variance of one-way delays.
+Packet arithmetic stays in integer microseconds: windows keep integer sums,
+each quotient rounded once (int true division is correctly rounded) in the
+final conversion to float, so results are reproducible to the last bit.
+Jitter is the signed maximum over seq-consecutive delivered pairs; PDV is
+the population variance of one-way delays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .simcore import SimError
 from .traffic import DIRECTION_LABELS, DROPPED, PENDING, CodecProfile
 
 DEFAULT_IS = 6.8  # baseline signal impairment: zero-impairment R lands at 93.2
-DEFAULT_ADVANTAGE = 0.0
 
 GOOD = "Good"
 ACCEPTABLE = "Acceptable"
@@ -76,25 +75,23 @@ def id_from_delay(d_ms: float) -> float:
 
 @dataclass(frozen=True)
 class EModelInputs:
-    is_factor: float = DEFAULT_IS
     ie: float = 0.0
     ppl_pct: float = 0.0  # observed packet loss, percent
     bpl: float = 4.3
     id_factor: float = 0.0
-    advantage: float = DEFAULT_ADVANTAGE
 
 
 def r_factor(inputs: EModelInputs) -> float:
     """Transmission rating with loss folded into the equipment impairment,
-    clamped to [0, 100].  The loss must be a percentage in [0, 100]."""
+    clamped at 0.  The loss must be a percentage in [0, 100]; with ie and
+    id_factor >= 0 and bpl > 0, R never exceeds 100 - DEFAULT_IS."""
     if not 0 <= inputs.ppl_pct <= 100:  # also catches NaN
         raise DomainError(f"packet loss must be in [0, 100] %, got {inputs.ppl_pct}")
     if inputs.ppl_pct > 0:
         ie_eff = inputs.ie + (95 - inputs.ie) * inputs.ppl_pct / (inputs.ppl_pct + inputs.bpl)
     else:
         ie_eff = inputs.ie
-    r = 100.0 - inputs.is_factor - ie_eff - inputs.id_factor + inputs.advantage
-    return min(100.0, max(0.0, r))
+    return max(0.0, 100.0 - DEFAULT_IS - ie_eff - inputs.id_factor)
 
 
 def mos_from_r(r: float) -> float:
@@ -207,9 +204,8 @@ def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
             buckets.append(QoSBucket(start, width_us, 0, drops[w], None, None,
                                      None, None, None, None, start < warm_up_us))
             continue
-        mean_dn_us = Fraction(sums[w], n)
-        mean_e2e_ms = float((mean_dn_us + codec_us) / 1_000)
-        var_us2 = Fraction(n * sumsqs[w] - sums[w] * sums[w], n * n)
+        e2e_sum_us = sums[w] + codec_us * n
+        mean_e2e_ms = e2e_sum_us / (n * 1_000)
         loss_pct = 100.0 * drops[w] / (n + drops[w])
         r = r_factor(EModelInputs(ie=codec.ie, ppl_pct=loss_pct, bpl=codec.bpl,
                                   id_factor=id_from_delay(mean_e2e_ms)))
@@ -221,8 +217,8 @@ def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
             samples=n,
             dropped=drops[w],
             jitter_s=jitter_s,
-            mean_e2e_s=float((mean_dn_us + codec_us) / 1_000_000),
-            pdv_s2=float(var_us2 / 10**12),
+            mean_e2e_s=e2e_sum_us / (n * 1_000_000),
+            pdv_s2=(n * sumsqs[w] - sums[w] * sums[w]) / (n * n * 10**12),
             mos=mos_from_r(r),
             delay_class=_delay_class(mean_e2e_ms),
             jitter_class=None if jit is None else _jitter_class(jit / 1_000),

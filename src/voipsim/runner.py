@@ -3,7 +3,6 @@ metrics, and write CSV/manifest outputs atomically."""
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import tempfile
@@ -160,6 +159,9 @@ def run_scenario(spec: ScenarioSpec, *, seed: int | None = None,
 
 
 def _load_metrics_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    # imported here: only comparing runs reads CSV
+    import csv
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

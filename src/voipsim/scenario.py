@@ -44,14 +44,12 @@ Grammar (all keys optional unless noted; values are numbers or names):
 
 from __future__ import annotations
 
-import configparser
-import hashlib
 import re
 from dataclasses import dataclass, fields, replace
 
 from .netmodels import CloudSpec, UmtsParams, WifiParams
 from .signaling import PROXY_PROC_US, SIP_MESSAGE_BYTES
-from .simcore import US_PER_MS, US_PER_S, SimError
+from .simcore import US_PER_MS, US_PER_S, SimError, sha256
 from .traffic import CODECS, DEFAULT_CODEC, CallSpec
 
 NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -236,6 +234,9 @@ def _section_kwargs(cp, section: str, keymap, skip=()) -> dict:
 
 
 def parse_scenario_text(text: str, default_name: str = "") -> ScenarioSpec:
+    # imported here, so a run of a builtin scenario never loads it
+    import configparser
+
     # "; ..." after whitespace is a comment, as in the grammar above
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     cp.optionxform = str
@@ -323,7 +324,7 @@ def emit_scenario(spec: ScenarioSpec) -> str:
 
 
 def spec_digest(spec: ScenarioSpec) -> str:
-    return hashlib.sha256(emit_scenario(spec).encode()).hexdigest()
+    return sha256(emit_scenario(spec).encode()).hexdigest()
 
 
 # -- builtin presets ---------------------------------------------------------

@@ -3,15 +3,28 @@
 All simulation interfaces exchange time as integer microsecond ticks; floats
 only appear in emitted reports.  Events fire in (fire_at, insertion seq)
 order, so runs are reproducible byte for byte given the same master seed.
+
+Stream seeds and scenario digests are SHA-256.  The hash comes from the
+interpreter's builtin module (``_sha2`` from 3.12, ``_sha256`` before), as
+the stdlib's ``random`` takes its sha512, because ``hashlib`` maps OpenSSL's
+libcrypto, about 3.4 MB resident, for two digests a run.  ``hashlib`` is the
+fallback for a build without the builtin module; the bytes are the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
@@ -79,7 +92,7 @@ class RunStats:
 
 def derive_stream_seed(master_seed: int, name: str) -> int:
     """Stable 64-bit seed for a named stream, independent of platform hashing."""
-    digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
+    digest = sha256(f"{master_seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -115,12 +115,16 @@ def test_jitter_and_pdv_match_bruteforce_oracle(capsys):
         else:
             assert bucket.jitter_s is None
         if kept:
-            expect_v = statistics.pvariance([Fraction(t2 - t1) for t1, t2 in kept])
+            delays = [Fraction(t2 - t1) for t1, t2 in kept]
+            expect_v = statistics.pvariance(delays)
             if bucket.pdv_s2 != float(expect_v / 10**12):
                 failures += 1
+            expect_m = (sum(delays) / len(delays) + G711.codec_delay_us) / 10**6
+            if bucket.mean_e2e_s != float(expect_m):
+                failures += 1
         else:
-            assert bucket.pdv_s2 is None
-    report(capsys, 2, "jitter/PDV oracle equality", failures == 0)
+            assert bucket.pdv_s2 is None and bucket.mean_e2e_s is None
+    report(capsys, 2, "jitter/PDV/delay oracle equality", failures == 0)
     assert failures == 0
 
 

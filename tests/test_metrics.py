@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from voipsim.metrics import (
     ACCEPTABLE,
+    DEFAULT_IS,
     GOOD,
     MOS_TABLE,
     POOR,
@@ -88,7 +89,8 @@ def test_loss_folds_into_equipment_impairment():
 
 def test_rating_clamps_to_unit_interval():
     assert r_factor(EModelInputs(id_factor=500.0)) == 0.0
-    assert r_factor(EModelInputs(advantage=50.0)) == 100.0
+    # the top is the zero-impairment rating, to the last bit
+    assert r_factor(EModelInputs()) == 100.0 - DEFAULT_IS
 
 
 def test_delay_impairment_breakpoint():
@@ -221,6 +223,21 @@ def test_pdv_matches_statistics_pvariance(delays):
     assert got == float(statistics.pvariance(kept) / 10**12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(delays_st, st.sampled_from(sorted(CODECS)))
+def test_mean_delay_matches_exact_rational(delays, codec_name):
+    codec = CODECS[codec_name]
+    records = trace(delays)
+    kept = [r.t_recv - r.t_send for r in records if r.t_recv is not None]
+    span = records[-1].t_send + 1
+    [got] = bucketize([records], codec, run_length_us=span, width_us=span)
+    if not kept:
+        assert got.mean_e2e_s is None
+        return
+    expected = (Fraction(sum(kept), len(kept)) + codec.codec_delay_us) / 10**6
+    assert got.mean_e2e_s == float(expected)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=400_000), min_size=1,
                 max_size=30),
@@ -230,12 +247,15 @@ def test_pdv_invariant_under_delay_shift(delays, bump):
             == one_window(trace([d + bump for d in delays])).pdv_s2)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=0, max_value=100),
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0, max_value=200),
+       st.floats(min_value=0, max_value=100),
+       st.floats(min_value=0, max_value=100, exclude_min=True),
        st.floats(min_value=0, max_value=100))
-def test_rating_never_leaves_unit_interval(ppl, id_factor):
-    r = r_factor(EModelInputs(ppl_pct=ppl, id_factor=id_factor))
-    assert 0.0 <= r <= 100.0
+def test_rating_never_leaves_unit_interval(ie, ppl, bpl, id_factor):
+    r = r_factor(EModelInputs(ie=ie, ppl_pct=ppl, bpl=bpl, id_factor=id_factor))
+    # no in-domain input rates above zero impairment
+    assert 0.0 <= r <= 100.0 - DEFAULT_IS
     # the score cubic dips to ~0.9888 near R=3.2 before recovering; 4.5 at R=100
     assert 0.988 <= mos_from_r(r) <= 4.5 + 1e-9
 

@@ -1,11 +1,14 @@
 """Run orchestration: determinism, output files, repetitions, compare."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
 import platform
 import stat
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -88,6 +91,37 @@ def test_packet_log_stays_compact(monkeypatch):
     out = run_scenario(short_spec(run_s=120, warm_s=0, seed=1))
     assert out.stats.packets_generated > 5_000
     assert held["bytes"] / out.stats.packets_generated < 20
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# (SRC, out_dir): a short traced run with a session log, so the post-run
+# writes count too; prints the modules then loaded
+_FOOTPRINT_RUN = """
+import sys
+from dataclasses import replace
+sys.path.insert(0, sys.argv[1])
+import voipsim.cli
+from voipsim.runner import run_scenario
+from voipsim.scenario import builtin_scenario
+spec = replace(builtin_scenario("wifi-umts"), run_length_us=20_000_000, warm_up_us=0)
+run_scenario(spec, out_dir=sys.argv[2], trace=True, session_log=True)
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_run_loads_no_library_it_does_not_use(tmp_path):
+    """A run of a builtin scenario never maps OpenSSL for its two SHA-256
+    digests, and never loads the rational, config or CSV parsers.  -S keeps
+    site's own imports out of the picture."""
+    unused = {"fractions", "decimal", "_decimal", "configparser", "csv"}
+    if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        unused |= {"hashlib", "_hashlib"}
+    proc = subprocess.run([sys.executable, "-S", "-c", _FOOTPRINT_RUN, SRC, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "voipsim.runner" in loaded
+    assert sorted(unused & loaded) == []
 
 
 def test_csv_rows_cover_every_window(tmp_path):
