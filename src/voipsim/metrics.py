@@ -6,6 +6,10 @@ each quotient rounded once (int true division is correctly rounded) in the
 final conversion to float, so results are reproducible to the last bit.
 Jitter is the signed maximum over seq-consecutive delivered pairs; PDV is
 the population variance of one-way delays.
+
+A stream's packets reach the fold as plain (t_send, tick) pairs in seq
+order, where tick is the stream log's entry: the arrival tick, DROPPED or
+PENDING.  No per-packet object is made.
 """
 
 from __future__ import annotations
@@ -38,29 +42,12 @@ class DomainError(SimError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class VoicePacketRecord:
-    """One finished packet: send tick and arrival tick, None if dropped."""
-
-    t_send: int
-    t_recv: int | None
-
-    def __post_init__(self):
-        if self.t_recv is not None and self.t_recv < self.t_send:
-            raise ValueError("t_recv must be >= t_send")
-
-
-def records_from_stream(stream) -> list[VoicePacketRecord]:
-    """Materialize a media stream's log in seq order; packets still in flight
-    are omitted."""
-    out = []
+def records_from_stream(stream) -> list[tuple[int, int]]:
+    """A media stream's log as (t_send, tick) pairs in seq order, one per
+    emitted packet, those still in flight included."""
     t0 = stream.t0
     fi = stream.codec.frame_interval_us
-    for seq, tick in enumerate(stream.recv):
-        if tick == PENDING:
-            continue
-        out.append(VoicePacketRecord(t0 + seq * fi, None if tick == DROPPED else tick))
-    return out
+    return list(zip(range(t0, t0 + len(stream.recv) * fi, fi), stream.recv))
 
 
 def id_from_delay(d_ms: float) -> float:
@@ -159,7 +146,10 @@ def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
               width_us: int, warm_up_us: int = 0) -> list[QoSBucket]:
     """Fold per-stream records into fixed windows over [0, run_length).
 
-    stream_records: iterable of per-stream record lists (each seq-ordered).
+    stream_records: iterable of per-stream lists of (t_send, tick) pairs,
+    each seq-ordered, with t_send >= 0.  A DROPPED tick counts as a loss and
+    a PENDING one is skipped, so a delivered pair spans a packet still in
+    flight; a delivered tick before its send time raises ValueError.
     Windowing is by send time, the last window absorbing the boundary; a
     cross-window delivered pair counts toward the later packet's window.
     Window MOS combines the window's mean mouth-to-ear delay with its loss
@@ -175,23 +165,27 @@ def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
     jmax: list[int | None] = [None] * n_win
     last = n_win - 1
     for records in stream_records:
-        prev = None
-        for rec in records:
-            w = rec.t_send // width_us
+        prev_d = None  # delay of the stream's last delivered packet
+        for t_send, tick in records:
+            w = t_send // width_us
             if w > last:
                 w = last
-            if rec.t_recv is None:
-                drops[w] += 1
+            if tick < t_send:  # both sentinels are negative
+                if tick == DROPPED:
+                    drops[w] += 1
+                elif tick != PENDING:
+                    raise ValueError(f"arrival tick {tick} before send tick {t_send}")
                 continue
-            d = rec.t_recv - rec.t_send
+            d = tick - t_send
             counts[w] += 1
             sums[w] += d
             sumsqs[w] += d * d
-            if prev is not None:
-                delta = (rec.t_recv - prev.t_recv) - (rec.t_send - prev.t_send)
+            if prev_d is not None:
+                # arrival spacing minus send spacing of the delivered pair
+                delta = d - prev_d
                 if jmax[w] is None or delta > jmax[w]:
                     jmax[w] = delta
-            prev = rec
+            prev_d = d
         # so a lazily made next list replaces this one instead of joining it
         del records
 

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .simcore import Simulator, SimError
+from .simcore import Simulator, SimError, uniform_below
 
 WIFI_ACK_BYTES = 14
 WIFI_ACK_RATE_BPS = 1_000_000  # control frames at 802.11b base rate
@@ -188,7 +188,8 @@ class WifiCell:
         self.ap_id = f"{name}-ap"
         self.params = params
         self.fabric = None
-        self._rng = sim.rng.stream(f"wifi-backoff:{name}")
+        # backoff draws: _below(cw + 1) is randint(0, cw) on the same stream
+        self._below = uniform_below(sim.rng.stream(f"wifi-backoff:{name}"))
         self._contenders = {node: _Contender(rank)
                             for rank, node in enumerate(self.stations + [self.ap_id])}
         # contenders whose backoff is not None, kept in rank order so that
@@ -225,7 +226,7 @@ class WifiCell:
         if c.backoff is None:
             c.cw = self.params.cw_min
             c.retries = 0
-            c.backoff = self._rng.randint(0, c.cw)
+            c.backoff = self._below(c.cw + 1)
             self._join_round(c)
 
     def _join_round(self, newcomer: _Contender) -> None:
@@ -302,7 +303,7 @@ class WifiCell:
     def _redraw(self, c: _Contender) -> None:
         """Draw a backoff for c's next head frame, or retire c if it has none."""
         if c.queue:
-            c.backoff = self._rng.randint(0, c.cw)
+            c.backoff = self._below(c.cw + 1)
         else:
             c.backoff = None
             self._active.remove(c)
@@ -403,7 +404,8 @@ class IpCloud:
         self.sim = sim
         self.params = params
         self.fabric = None
-        self._rng_jitter = sim.rng.stream("cloud-jitter")
+        # jitter draws: _below(2*hw + 1) - hw is randint(-hw, hw) on the same stream
+        self._below = uniform_below(sim.rng.stream("cloud-jitter"))
         self._rng_loss = sim.rng.stream("cloud-loss")
 
     def bind(self, fabric: "Fabric") -> None:
@@ -417,7 +419,7 @@ class IpCloud:
         delay = p.base_delay_us
         hw = p.jitter_half_width_us
         if hw:
-            delay += self._rng_jitter.randint(-hw, hw)
+            delay += self._below(2 * hw + 1) - hw
         self.fabric.hold(env, delay, "cloud-deliver")
 
 
@@ -443,6 +445,16 @@ class Fabric:
     event scheduled further ahead than that last segment lasts can do so; the
     access models schedule at most about 21 ms ahead, less than a pipe or the
     cloud, so they keep the order of the unfolded chain.
+
+    A media packet's last wait needs no event.  When a hold (with its fixed
+    run) ends the path of an envelope whose on_end is the media sink, and it
+    ends within the simulator's horizon (the t_end of the run_until in
+    progress), the fabric writes its trace rows and records the arrival tick
+    at once.  Its arrival is fixed, and delivery only does bookkeeping that
+    nothing reads before the run ends, so the metrics are the same.  A SIP
+    message keeps its event, because its on_end changes protocol state at
+    the arrival instant; so does an arrival past the horizon, which stays in
+    flight, and any hold made outside run_until (the horizon is -1 there).
     """
 
     PROXY = "proxy"
@@ -455,6 +467,9 @@ class Fabric:
         self._paths: dict[tuple, list] = {}
         self._fixed: dict[str, tuple[int, str]] = {}
         self._next_pid = 0
+        # one bound method for every media envelope, so hold() can tell
+        # media from SIP by identity
+        self._media_sink = self._media_done
         cloud.bind(self)
         p = cloud.params
         if p.jitter_half_width_us == 0 and p.loss_prob == 0:
@@ -534,21 +549,35 @@ class Fabric:
 
     def hold(self, env: Envelope, delay_us: int, kind: str) -> None:
         """End env's current segment after a pure wait of delay_us; the fixed
-        run that follows rides the same event of the given kind."""
-        self.sim.schedule_in(delay_us + env.path[env.hop][4], self._run_done, env,
-                             kind=kind)
+        run that follows rides the same event of the given kind, or none for
+        a media packet's last wait within the horizon (see the class doc)."""
+        sim = self.sim
+        step = env.path[env.hop]
+        t_done = sim.now + delay_us + step[4]
+        if (step[5] == len(env.path) and env.on_end is self._media_sink
+                and t_done <= sim.horizon):
+            if self.tracer is not None:
+                self._trace_run(env, step, t_done)
+            self._media_done(env.item, t_done)
+        else:
+            sim.schedule(t_done, self._run_done, env, kind=kind)
 
     def _run_done(self, env: Envelope) -> None:
-        """The current segment and the fixed run after it end now.  Their trace
-        rows are rebuilt by arithmetic from the fixed delays."""
-        label, _fn, _node, _fixed, tail_us, next_hop = env.path[env.hop]
+        """The current segment and the fixed run after it end now."""
+        step = env.path[env.hop]
         if self.tracer is not None:
-            egress = self.sim.now - tail_us
-            self.tracer.add(env.pid, label, env.hop_ingress, egress, "")
-            for label, _fn, _node, fixed, _tail, _next in env.path[env.hop + 1:next_hop]:
-                self.tracer.add(env.pid, label, egress, egress + fixed[0], "")
-                egress += fixed[0]
-        self._resume(env, next_hop)
+            self._trace_run(env, step, self.sim.now)
+        self._resume(env, step[5])
+
+    def _trace_run(self, env: Envelope, step: tuple, t_done: int) -> None:
+        """Trace rows of the current segment and the fixed run after it, which
+        ends at t_done, rebuilt by arithmetic from the fixed delays."""
+        label, _fn, _node, _fixed, tail_us, next_hop = step
+        egress = t_done - tail_us
+        self.tracer.add(env.pid, label, env.hop_ingress, egress, "")
+        for label, _fn, _node, fixed, _tail, _next in env.path[env.hop + 1:next_hop]:
+            self.tracer.add(env.pid, label, egress, egress + fixed[0], "")
+            egress += fixed[0]
 
     def segment_done(self, env: Envelope) -> None:
         """The current segment ended now, with no wait after it."""
@@ -576,7 +605,7 @@ class Fabric:
         """Carry packet seq of a media stream; the envelope's item is the
         (stream, seq) pair."""
         self.send((stream, seq), stream.codec.packet_size_bytes, stream.src, stream.dst,
-                  self._media_done, self._media_fail)
+                  self._media_sink, self._media_fail)
 
     def _media_done(self, packet: tuple, t_recv: int) -> None:
         stream, seq = packet

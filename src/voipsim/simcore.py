@@ -128,6 +128,25 @@ def exp_sample(rng: random.Random, mean_ticks: int, u: float | None = None) -> i
     return round(-mean_ticks * math.log(u))
 
 
+def uniform_below(rng: random.Random):
+    """Return below(n), a uniform draw from [0, n) for n >= 1 out of rng.
+
+    It takes the same bits from the stream as Random._randbelow_with_getrandbits
+    (3.10 to 3.13), so below(b - a + 1) + a equals rng.randint(a, b) draw for
+    draw, without randint's three Python frames per draw.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 class Simulator:
     """Single-threaded event loop over a future-event list.
 
@@ -136,6 +155,9 @@ class Simulator:
     cancel(entry) tombstones fn to None, and run_until does the same to an
     entry as it fires it, so a handle cancels at most once and never after
     its event ran.  schedule stays O(log n) and cancel O(1).
+
+    While run_until(t_end) runs, horizon is t_end: an event due by then will
+    run in this call.  Outside run_until it is -1.
     """
 
     def __init__(self, master_seed: int = 1):
@@ -145,6 +167,7 @@ class Simulator:
         self._heap: list[list] = []
         self._tombstones = 0  # cancelled entries still in the heap
         self._next_seq = 0
+        self.horizon = -1
 
     # target is unused; perfbench/layers.py passes it, and kind after it, by position
     def schedule(self, fire_at: int, fn, arg=None, target: str = "", kind: str = "") -> list:
@@ -182,23 +205,27 @@ class Simulator:
             raise SchedulingInPast(f"t_end={t_end} < now={self.now}")
         heap = self._heap
         stats = self.stats
-        while heap and heap[0][0] <= t_end:
-            entry = heappop(heap)
-            fn = entry[2]
-            if fn is None:
-                self._tombstones -= 1
-                continue
-            entry[2] = None
-            self.now = entry[0]
-            stats.events_processed += 1
-            try:
-                fn(entry[3])
-            except Exception as exc:
-                stats.end_ticks = self.now
-                raise EventHandlerFault(
-                    f"handler for event seq={entry[1]} kind={entry[4]!r} raised: {exc!r}",
-                    stats,
-                ) from exc
+        self.horizon = t_end
+        try:
+            while heap and heap[0][0] <= t_end:
+                entry = heappop(heap)
+                fn = entry[2]
+                if fn is None:
+                    self._tombstones -= 1
+                    continue
+                entry[2] = None
+                self.now = entry[0]
+                stats.events_processed += 1
+                try:
+                    fn(entry[3])
+                except Exception as exc:
+                    stats.end_ticks = self.now
+                    raise EventHandlerFault(
+                        f"handler for event seq={entry[1]} kind={entry[4]!r} raised: {exc!r}",
+                        stats,
+                    ) from exc
+        finally:
+            self.horizon = -1
         self.now = t_end
         stats.end_ticks = t_end
         return stats

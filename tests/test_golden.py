@@ -101,9 +101,21 @@ duration_mean_s = 40
 """
 
 CONTENDED_SHA256 = "6e07f14ff9b226fc241800a613228c99a6a09363cc7ebb8a0737edc7e3576592"
-# the same run's per-packet segment trace and signaling transition log
-CONTENDED_TRACE_SHA256 = "aae0ba6599438c39ecc3971943eed62acb8413112ffc4d3c356f57aa2e28db38"
+# the same run's per-packet segment trace and signaling transition log.  The
+# trace file's row order follows when rows are written (a media packet's last
+# rows when its last wait starts); sorted stably by packet_id, it is each
+# packet's path in order, which that timing does not move.
+CONTENDED_TRACE_SHA256 = "4c61644ee424c4991e21c1dec5143745cde2c5345613b1505f2b72d2e74f9d52"
+CONTENDED_TRACE_BY_PACKET_SHA256 = "af18dc11e71b51de23f95660c80ddf2828dd42964e904b97f5f2b79f204c857b"
 CONTENDED_SESSIONS_SHA256 = "ddc7b41276d3388879efa827ebd1edfe619faf35589d31d2684d81dde2c301d1"
+
+
+def _by_packet_sha256(path):
+    """Digest of a trace with its data rows stably sorted by packet_id."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = fh.read().splitlines()
+    rows.sort(key=lambda row: int(row.split(",", 1)[0]))
+    return hashlib.sha256(("\n".join([header, *rows]) + "\n").encode()).hexdigest()
 
 
 def test_cross_cell_tie_order_matches_golden_digest(tmp_path):
@@ -111,6 +123,7 @@ def test_cross_cell_tie_order_matches_golden_digest(tmp_path):
     out = run_scenario(spec, seed=SEED, out_dir=str(tmp_path), trace=True,
                        session_log=True)
     assert _sha256(out.csv_path) == CONTENDED_SHA256
+    assert _by_packet_sha256(out.trace_path) == CONTENDED_TRACE_BY_PACKET_SHA256
     assert _sha256(out.trace_path) == CONTENDED_TRACE_SHA256
     assert _sha256(out.session_log_path) == CONTENDED_SESSIONS_SHA256
 

@@ -18,7 +18,6 @@ from voipsim.metrics import (
     DomainError,
     EModelInputs,
     QoSBucket,
-    VoicePacketRecord,
     bucketize,
     classify,
     id_from_delay,
@@ -28,23 +27,28 @@ from voipsim.metrics import (
     records_from_stream,
     write_metrics_csv,
 )
-from voipsim.traffic import CODECS, MediaStream, PENDING
+from voipsim.traffic import CODECS, DROPPED, PENDING, MediaStream
 
 G711 = CODECS["g711"]
 
 
 def trace(delays, spacing=20_000, t0=0):
-    """Records with the given per-seq one-way delays; None marks a drop."""
+    """(t_send, tick) records with the given per-seq one-way delays; None
+    marks a drop."""
     out = []
     for seq, d in enumerate(delays):
         t = t0 + seq * spacing
-        out.append(VoicePacketRecord(t, None if d is None else t + d))
+        out.append((t, DROPPED if d is None else t + d))
     return out
+
+
+def delivered(records):
+    return [(t_send, tick) for t_send, tick in records if tick != DROPPED]
 
 
 def one_window(records):
     """The bucket of a single window that spans the whole trace."""
-    span = max((r.t_send for r in records), default=0) + 1
+    span = max((t_send for t_send, _tick in records), default=0) + 1
     [bucket] = bucketize([records], G711, run_length_us=span, width_us=span)
     return bucket
 
@@ -118,23 +122,31 @@ def test_mos_label_rows():
 # --- per-packet records ------------------------------------------------------
 
 def test_record_consistency_enforced():
-    with pytest.raises(ValueError):
-        VoicePacketRecord(100, 99)
+    # an arrival before its send time is a broken log, whatever the window
+    for bad in (99, -3):
+        with pytest.raises(ValueError):
+            bucketize([[(100, bad)]], G711, run_length_us=1_000, width_us=1_000)
 
 
-def test_records_from_stream_skips_in_flight():
-    s = MediaStream("a", "b", G711, t0=1_000, n_packets=4)
+def test_records_from_stream_pairs_every_emitted_packet():
+    s = MediaStream("a", "b", G711, t0=1_000, n_packets=5)
     for _ in range(4):
         s.recv.append(PENDING)
     s.mark_delivered(0, 40_000)
     s.mark_dropped(1)
     s.mark_delivered(3, 90_000)
-    got = records_from_stream(s)
-    # seq 0, 1 and 3: the in-flight seq 2 leaves no record
-    assert [r.t_send for r in got] == [1_000, 21_000, 61_000]
-    assert got[0].t_recv == 40_000
-    assert got[1].t_recv is None
-    assert got[2].t_recv == 90_000
+    # one pair per emitted seq, the in-flight seq 2 included
+    assert records_from_stream(s) == [
+        (1_000, 40_000), (21_000, DROPPED), (41_000, PENDING), (61_000, 90_000)]
+
+
+def test_bucketize_skips_in_flight_packets():
+    # the in-flight seq 1 is neither a sample nor a loss, and the delivered
+    # pair spans it: (90 - 41) - (41 - 1) ms = +9 ms
+    records = [(1_000, 41_000), (21_000, PENDING), (41_000, 90_000)]
+    [b] = bucketize([records], G711, run_length_us=60_000, width_us=60_000)
+    assert b.samples == 2 and b.dropped == 0
+    assert b.jitter_s == 0.009
 
 
 # --- jitter ------------------------------------------------------------------
@@ -191,7 +203,7 @@ delays_st = st.lists(
 @given(delays_st)
 def test_jitter_matches_bruteforce(delays):
     records = trace(delays)
-    kept = [(r.t_send, r.t_recv) for r in records if r.t_recv is not None]
+    kept = delivered(records)
     got = one_window(records).jitter_s
     if len(kept) < 2:
         assert got is None
@@ -215,7 +227,7 @@ def test_jitter_invariant_under_time_shift(delays, shift):
 @given(delays_st)
 def test_pdv_matches_statistics_pvariance(delays):
     records = trace(delays)
-    kept = [Fraction(r.t_recv - r.t_send) for r in records if r.t_recv is not None]
+    kept = [Fraction(tick - t_send) for t_send, tick in delivered(records)]
     got = one_window(records).pdv_s2
     if not kept:
         assert got is None
@@ -228,8 +240,8 @@ def test_pdv_matches_statistics_pvariance(delays):
 def test_mean_delay_matches_exact_rational(delays, codec_name):
     codec = CODECS[codec_name]
     records = trace(delays)
-    kept = [r.t_recv - r.t_send for r in records if r.t_recv is not None]
-    span = records[-1].t_send + 1
+    kept = [tick - t_send for t_send, tick in delivered(records)]
+    span = records[-1][0] + 1
     [got] = bucketize([records], codec, run_length_us=span, width_us=span)
     if not kept:
         assert got.mean_e2e_s is None
@@ -324,14 +336,14 @@ def test_bucketize_flags_warmup_windows():
 
 
 def test_bucketize_pair_lands_in_later_window():
-    records = [VoicePacketRecord(9_000, 10_000), VoicePacketRecord(11_000, 17_000)]
+    records = [(9_000, 10_000), (11_000, 17_000)]
     buckets = bucketize([records], G711, run_length_us=20_000, width_us=10_000)
     assert buckets[0].samples == 1 and buckets[0].jitter_s is None
     assert buckets[1].jitter_s == pytest.approx(0.005)
 
 
 def test_bucketize_clamps_straggler_to_last_window():
-    records = [VoicePacketRecord(95_000, 96_000), VoicePacketRecord(170_000, 171_000)]
+    records = [(95_000, 96_000), (170_000, 171_000)]
     buckets = bucketize([records], G711, run_length_us=100_000, width_us=30_000)
     assert len(buckets) == 4
     assert buckets[3].samples == 2

@@ -1,5 +1,7 @@
-"""DCF timing, UMTS pipeline arithmetic, cloud sampling, routing."""
+"""DCF timing, UMTS pipeline arithmetic, cloud sampling, routing, and the
+fabric's event-free delivery of a media packet's last wait."""
 
+import dataclasses
 import statistics
 
 import pytest
@@ -19,7 +21,12 @@ from voipsim.netmodels import (
     WifiCell,
     WifiParams,
 )
+from voipsim.runner import run_scenario
+from voipsim.scenario import builtin_scenario, validate
 from voipsim.simcore import Simulator, millis, seconds
+from voipsim.traffic import CODECS, PENDING, MediaStream
+
+G711 = CODECS["g711"]
 
 
 class Probe:
@@ -121,16 +128,18 @@ def test_wifi_queue_overflow_drops_excess():
     assert len(probe.delivered) == 50
 
 
-class _FixedRng:
-    """Backoff source that always picks the same slot: guaranteed collisions."""
+# Backoff stubs replace WifiCell._below, the cell's draw seam: _below(cw + 1)
+# returns a backoff in [0, cw].
 
-    def randint(self, a, b):
-        return 3
+
+def _fixed_draw(n):
+    """Backoff source that always picks the same slot: guaranteed collisions."""
+    return 3
 
 
 def test_wifi_repeated_collisions_exhaust_retries():
     sim, fabric, cell = wifi_fixture(n_stations=2, retry_limit=7)
-    cell._rng = _FixedRng()
+    cell._below = _fixed_draw
     probe = Probe()
     sim.schedule(0, _send_one(fabric, probe, "x", src="lan-ws1"), kind="feed")
     sim.schedule(0, _send_one(fabric, probe, "y", src="lan-ws2"), kind="feed")
@@ -141,21 +150,22 @@ def test_wifi_repeated_collisions_exhaust_retries():
     assert probe.delivered == []
 
 
-class _ScriptedRng:
-    """Backoff source replaying a fixed list of draws and logging each call."""
+class _ScriptedDraws:
+    """Backoff source replaying a fixed list of draws and logging the window
+    cw of each."""
 
     def __init__(self, draws):
         self.draws = list(draws)
-        self.calls = []
+        self.windows = []
 
-    def randint(self, a, b):
-        self.calls.append((a, b))
+    def __call__(self, n):
+        self.windows.append(n - 1)
         return self.draws.pop(0)
 
 
 def test_wifi_mid_round_join_folds_elapsed_slots():
     sim, fabric, cell = wifi_fixture(n_stations=2)
-    cell._rng = _ScriptedRng([20, 15])
+    cell._below = _ScriptedDraws([20, 15])
     probe = Probe()
     sim.schedule(0, _send_one(fabric, probe, "ws1", src="lan-ws1"), kind="feed")
     sim.schedule(250, _send_one(fabric, probe, "ws2", src="lan-ws2"), kind="feed")
@@ -169,28 +179,147 @@ def test_wifi_mid_round_join_folds_elapsed_slots():
 def test_wifi_collision_redraws_in_station_order():
     sim, fabric, cell = wifi_fixture(n_stations=2)
     # three equal first draws collide; the redraws then get 0, 1, 2 slots
-    rng = cell._rng = _ScriptedRng([3, 3, 3, 0, 1, 2])
+    draws = cell._below = _ScriptedDraws([3, 3, 3, 0, 1, 2])
     probe = Probe()
     # fed in reverse station order, all within the first DIFS
     sim.schedule(0, _send_one(fabric, probe, "ap", src="proxy", dst="lan-ws1"), kind="feed")
     sim.schedule(5, _send_one(fabric, probe, "ws2", src="lan-ws2"), kind="feed")
     sim.schedule(10, _send_one(fabric, probe, "ws1", src="lan-ws1"), kind="feed")
     sim.run_until(seconds(1))
-    assert rng.calls == [(0, 31)] * 3 + [(0, 63)] * 3
+    assert draws.windows == [31] * 3 + [63] * 3
     # redraws in station order with the AP last: ws1 got 0, ws2 1, the AP 2
     assert probe.delivered == [("ws1", 780), ("ws2", 1160), ("ap", 1540)]
 
 
-class _CountingRng:
-    """Wraps a random stream and counts the backoff draws taken from it."""
+def _emit_media(sim, fabric, stream, seq):
+    """Hand packet seq of stream to the fabric as CallScheduler._emit does."""
+    stream.recv.append(PENDING)
+    sim.stats.packets_generated += 1
+    sim.stats.packets_in_flight += 1
+    fabric.send_media(stream, seq)
 
-    def __init__(self, rng):
-        self.rng = rng
+
+def lone_media_fixture(backoff, t_send=1_000):
+    """One media packet from a lone station to the proxy over a zero-delay
+    cloud, with a scripted backoff; returns it with its exact arrival tick,
+    DIFS + backoff slots + exchange after it is sent."""
+    sim, fabric, cell = wifi_fixture(n_stations=1)
+    cell._below = _ScriptedDraws([backoff])
+    stream = MediaStream("lan-ws1", "proxy", G711, t0=t_send, n_packets=1)
+    sim.schedule(t_send, lambda _: _emit_media(sim, fabric, stream, 0), kind="feed")
+    p = cell.params
+    arrival = (t_send + p.difs_us + backoff * p.slot_us
+               + cell.exchange_us(G711.packet_size_bytes))
+    return sim, stream, arrival
+
+
+@pytest.mark.parametrize("backoff", [0, 1, 7, 31])
+def test_wifi_lone_station_arrives_after_difs_backoff_and_exchange(backoff):
+    sim, stream, arrival = lone_media_fixture(backoff)
+    sim.run_until(seconds(1))
+    assert stream.recv[0] == arrival
+    # the feed and one DCF round; the last wait rides no event of its own
+    assert sim.stats.events_processed == 2
+    assert sim.stats.packets_delivered == 1
+    assert sim.stats.packets_in_flight == 0
+
+
+def test_last_wait_ending_at_horizon_is_delivered():
+    sim, stream, arrival = lone_media_fixture(7)
+    sim.run_until(arrival)
+    assert stream.recv[0] == arrival
+    assert sim.stats.packets_delivered == 1
+    assert sim.stats.packets_in_flight == 0
+    # delivered when its last wait started: no event was left for t_end
+    assert sim.stats.events_processed == 2
+    assert sim.pending_count() == 0
+
+
+def test_last_wait_ending_past_horizon_stays_in_flight():
+    sim, stream, arrival = lone_media_fixture(7)
+    sim.run_until(arrival - 1)
+    assert stream.recv[0] == PENDING
+    assert sim.stats.packets_in_flight == 1
+    assert sim.stats.packets_delivered == 0
+    assert sim.stats.conservation_holds()
+    # the delivery is an event, due in the next run
+    assert sim.pending_count() == 1
+    sim.run_until(arrival)
+    assert stream.recv[0] == arrival
+    assert sim.stats.packets_in_flight == 0
+
+
+def test_non_media_last_wait_keeps_its_event():
+    sim, fabric, cell = wifi_fixture(n_stations=1)
+    cell._below = _ScriptedDraws([7])
+    probe = Probe()
+    sim.schedule(1_000, _send_one(fabric, probe, "sip"), kind="feed")
+    sim.run_until(seconds(1))
+    assert probe.delivered == [("sip", 1_000 + 50 + 7 * 20 + cell.exchange_us(200))]
+    # feed, DCF round and the delivery event a SIP callback needs
+    assert sim.stats.events_processed == 3
+
+
+def test_hold_outside_run_until_schedules_an_event():
+    sim = Simulator(master_seed=1)
+    cloud = IpCloud(sim, CloudSpec(base_delay_us=millis(30), jitter_half_width_us=0,
+                                   loss_prob=0))
+    fabric = Fabric(sim, cloud)
+    # the fixed cloud is the whole proxy-to-proxy path, so entering it holds
+    stream = MediaStream("proxy", "proxy", G711, t0=0, n_packets=2)
+    _emit_media(sim, fabric, stream, 0)  # before any run_until
+    assert stream.recv[0] == PENDING
+    assert sim.pending_count() == 1
+    sim.run_until(millis(10))
+    _emit_media(sim, fabric, stream, 1)  # between runs, at 10 ms
+    assert stream.recv[1] == PENDING
+    assert sim.pending_count() == 2
+    sim.run_until(seconds(1))
+    assert list(stream.recv) == [millis(30), millis(40)]
+    assert sim.stats.events_processed == 2
+
+
+def _wifi_run(monkeypatch=None, step_us=None):
+    """A 120 s wifi-wifi run, in one run_until or (with step_us) in many."""
+    if step_us is not None:
+        whole = Simulator.run_until
+
+        def run_in_steps(sim, t_end):
+            for t in range(step_us, t_end, step_us):
+                whole(sim, t)
+            return whole(sim, t_end)
+
+        monkeypatch.setattr(Simulator, "run_until", run_in_steps)
+    spec = validate(dataclasses.replace(builtin_scenario("wifi-wifi"),
+                                        run_length_us=seconds(120), warm_up_us=0))
+    out = run_scenario(spec, seed=1)
+    logs = [s.recv.tobytes() for call in out.calls for s in call.streams]
+    return out, logs
+
+
+def test_split_run_equals_one_run(monkeypatch):
+    one, one_logs = _wifi_run()
+    split, split_logs = _wifi_run(monkeypatch, step_us=999_983)
+    assert one.stats.packets_generated > 0
+    assert split_logs == one_logs
+    assert split.buckets_by_direction == one.buckets_by_direction
+    stats_one = dataclasses.asdict(one.stats)
+    stats_split = dataclasses.asdict(split.stats)
+    # some last waits straddled a step's horizon, and those took an event
+    assert stats_split.pop("events_processed") > stats_one.pop("events_processed")
+    assert stats_split == stats_one
+
+
+class _CountingDraws:
+    """Wraps a cell's backoff source and counts the draws taken from it."""
+
+    def __init__(self, below):
+        self.below = below
         self.draws = 0
 
-    def randint(self, a, b):
+    def __call__(self, n):
         self.draws += 1
-        return self.rng.randint(a, b)
+        return self.below(n)
 
 
 def bianchi_collision_probability(n, w=32, m=5):
@@ -221,7 +350,7 @@ def saturated_collision_probability(n, seed, run_s):
     stations = [f"lan-ws{i}" for i in range(1, n + 1)]
     cell = WifiCell(sim, "lan", stations)
     fabric.attach_cell(cell)
-    rng = cell._rng = _CountingRng(cell._rng)
+    counter = cell._below = _CountingDraws(cell._below)
     delivered = 0
 
     def send(src):
@@ -239,7 +368,7 @@ def saturated_collision_probability(n, seed, run_s):
         send(ws)  # two frames each: the queue never runs dry
         send(ws)
     sim.run_until(seconds(run_s))
-    attempts = rng.draws - n
+    attempts = counter.draws - n
     return 1 - delivered / attempts
 
 

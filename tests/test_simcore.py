@@ -146,6 +146,26 @@ def test_handler_fault_carries_partial_stats():
     assert excinfo.value.stats.end_ticks == 20
 
 
+def test_horizon_is_set_only_inside_run_until():
+    sim = Simulator()
+    seen = []
+    assert sim.horizon == -1
+    sim.schedule(10, lambda _: seen.append(sim.horizon))
+    sim.run_until(50)
+    assert seen == [50]
+    assert sim.horizon == -1
+
+    def boom(_):
+        seen.append(sim.horizon)
+        raise ValueError("broken handler")
+
+    sim.schedule(60, boom)
+    with pytest.raises(EventHandlerFault):
+        sim.run_until(100)
+    assert seen == [50, 100]
+    assert sim.horizon == -1
+
+
 def test_conservation_check():
     sim = Simulator()
     s = sim.stats
