@@ -9,11 +9,13 @@ the population variance of one-way delays.
 
 A stream's packets reach the fold as plain (t_send, tick) pairs in seq
 order, where tick is the stream log's entry: the arrival tick, DROPPED or
-PENDING.  No per-packet object is made.
+PENDING.  No per-packet object is made, and records_from_stream hands the
+pairs over as a view, not a list.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .simcore import SimError
@@ -42,18 +44,35 @@ class DomainError(SimError):
     pass
 
 
-def records_from_stream(stream) -> list[tuple[int, int]]:
+class StreamPairs:
     """A media stream's log as (t_send, tick) pairs in seq order, one per
-    emitted packet, those still in flight included."""
-    t0 = stream.t0
-    fi = stream.codec.frame_interval_us
-    return list(zip(range(t0, t0 + len(stream.recv) * fi, fi), stream.recv))
+    emitted packet, those still in flight included.  It is sized, and each
+    iteration zips the send times with the log afresh, so no pair list is
+    ever held."""
+
+    __slots__ = ("sends", "recv")
+
+    def __init__(self, stream):
+        fi = stream.codec.frame_interval_us
+        self.recv = stream.recv
+        self.sends = range(stream.t0, stream.t0 + len(self.recv) * fi, fi)
+
+    def __len__(self) -> int:
+        return len(self.sends)
+
+    def __iter__(self):
+        return zip(self.sends, self.recv)
+
+
+def records_from_stream(stream) -> StreamPairs:
+    """The stream's (t_send, tick) pairs, as a lazily iterated view."""
+    return StreamPairs(stream)
 
 
 def id_from_delay(d_ms: float) -> float:
     """Delay impairment: 0.024 d plus a steeper surcharge past 177.3 ms."""
-    if not d_ms >= 0:  # also catches NaN
-        raise DomainError(f"delay must be >= 0, got {d_ms}")
+    if not 0 <= d_ms < math.inf:  # also catches NaN
+        raise DomainError(f"delay must be finite and >= 0, got {d_ms}")
     rating = 0.024 * d_ms
     if d_ms > 177.3:
         rating += 0.11 * (d_ms - 177.3)

@@ -168,6 +168,7 @@ class _Contender:
 
 
 _by_rank = attrgetter("rank")
+_backoff = attrgetter("backoff")
 
 
 class WifiCell:
@@ -237,8 +238,9 @@ class WifiCell:
         if self._round_event is None:
             # no round pending means nobody else is contending
             active.append(newcomer)
-            self._arm_round(max(self.sim.now, self._busy_until) + self.params.difs_us,
-                            newcomer.backoff)
+            now = self.sim.now
+            idle_from = self._busy_until if self._busy_until > now else now
+            self._arm_round(idle_from + self.params.difs_us, newcomer.backoff)
             return
         self.sim.cancel(self._round_event)
         insort(active, newcomer, key=_by_rank)
@@ -250,11 +252,14 @@ class WifiCell:
                 if c.backoff >= elapsed:
                     c.backoff -= elapsed
             t0 += elapsed * self.params.slot_us
-        self._arm_round(t0, min(c.backoff for c in active))
+        self._arm_round(t0, min(map(_backoff, active)))
 
     def _arm_round(self, t0: int, min_b: int) -> None:
         self._round_t0 = t0
-        fire_at = max(self.sim.now, t0 + min_b * self.params.slot_us)
+        now = self.sim.now
+        fire_at = t0 + min_b * self.params.slot_us
+        if fire_at < now:
+            fire_at = now
         self._round_event = self.sim.schedule(fire_at, self._round_fire, kind="wifi-round")
 
     def _round_fire(self, _arg) -> None:
@@ -264,7 +269,7 @@ class WifiCell:
         if len(active) == 1:
             winners = [active[0]]  # a lone contender wins whatever its count
         else:
-            min_b = min(c.backoff for c in active)
+            min_b = min(map(_backoff, active))
             winners = []
             for c in active:
                 if c.backoff == min_b:
@@ -298,7 +303,7 @@ class WifiCell:
                 self._redraw(c)
         if active:
             self._arm_round(self._busy_until + p.difs_us,
-                            min(c.backoff for c in active))
+                            min(map(_backoff, active)))
 
     def _redraw(self, c: _Contender) -> None:
         """Draw a backoff for c's next head frame, or retire c if it has none."""

@@ -72,8 +72,9 @@ def test_mos_heavy_delay_classifies_poor(capsys):
     ("--delay", "100", "--loss", "-5"),
     ("--delay", "100", "--loss", "250"),
     ("--delay", "nan"),
+    ("--delay", "inf"),
     ("--delay", "100", "--loss", "nan"),
-], ids=["r-120", "loss-negative", "loss-over-100", "delay-nan", "loss-nan"])
+], ids=["r-120", "loss-negative", "loss-over-100", "delay-nan", "delay-inf", "loss-nan"])
 def test_mos_rating_out_of_domain(capsys, argv):
     code, out, err = run_cli(capsys, "mos", *argv)
     assert code == EXIT_CONFIG

@@ -2,6 +2,8 @@
 
 import io
 import statistics
+import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -105,6 +107,9 @@ def test_delay_impairment_breakpoint():
     assert id_from_delay(200) == pytest.approx(0.024 * 200 + 0.11 * 22.7)
     with pytest.raises(DomainError):
         id_from_delay(-1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            id_from_delay(bad)
 
 
 def test_mos_label_rows():
@@ -136,8 +141,28 @@ def test_records_from_stream_pairs_every_emitted_packet():
     s.mark_dropped(1)
     s.mark_delivered(3, 90_000)
     # one pair per emitted seq, the in-flight seq 2 included
-    assert records_from_stream(s) == [
+    pairs = records_from_stream(s)
+    assert len(pairs) == 4
+    assert list(pairs) == [
         (1_000, 40_000), (21_000, DROPPED), (41_000, PENDING), (61_000, 90_000)]
+    assert list(pairs) == list(pairs)  # each iteration starts afresh
+
+
+def test_folding_a_stream_holds_no_pair_list():
+    n = 100_000
+    s = MediaStream("a", "b", G711, t0=0, n_packets=n)
+    s.recv.extend(range(5_000, 5_000 + n * 20_000, 20_000))
+    # what a list of the stream's pairs would hold: the list and its tuples
+    pairs_bytes = sys.getsizeof([None] * n) + n * sys.getsizeof((0, 0))
+    tracemalloc.start()
+    try:
+        [b] = bucketize([records_from_stream(s)], G711,
+                        run_length_us=n * 20_000, width_us=n * 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.samples == n
+    assert peak < pairs_bytes / 20
 
 
 def test_bucketize_skips_in_flight_packets():

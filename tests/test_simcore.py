@@ -3,11 +3,14 @@
 import hashlib
 import math
 import random
+from heapq import heappop, heappush
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voipsim import simcore
 from voipsim.simcore import (
     US_PER_S,
     EventHandlerFault,
@@ -164,6 +167,137 @@ def test_horizon_is_set_only_inside_run_until():
         sim.run_until(100)
     assert seen == [50, 100]
     assert sim.horizon == -1
+
+
+def test_same_instant_fault_leaves_the_rest_queued_in_order():
+    sim = Simulator()
+    fired = []
+
+    def first(_):
+        fired.append("first")
+        sim.schedule_in(0, fired.append, "fresh")  # seq after every entry below
+
+    def boom(_):
+        raise ValueError("broken handler")
+
+    sim.schedule(10, first)
+    sim.schedule(10, boom)
+    sim.schedule(10, fired.append, "after-1")
+    sim.schedule(10, fired.append, "after-2")
+    with pytest.raises(EventHandlerFault) as excinfo:
+        sim.run_until(100)
+    assert fired == ["first"]
+    assert excinfo.value.stats.events_processed == 2  # the faulting entry is consumed
+    assert excinfo.value.stats.end_ticks == 10
+    assert sim.pending_count() == 3
+    sim.run_until(100)
+    assert fired == ["first", "after-1", "after-2", "fresh"]
+    assert sim.pending_count() == 0
+    assert sim.stats.events_processed == 5
+
+
+def test_one_heap_key_per_instant(monkeypatch):
+    pushed = []
+
+    def counting_heappush(heap, item):
+        pushed.append(item)
+        heappush(heap, item)
+
+    monkeypatch.setattr(simcore, "heappush", counting_heappush)
+    sim = Simulator()
+    fired = []
+    for tag in range(1_000):
+        sim.schedule(500, fired.append, tag)
+    assert pushed == [500]
+    assert sim.pending_count() == 1_000
+    sim.run_until(500)
+    assert fired == list(range(1_000))
+
+
+class _HeapReference:
+    """The plain event loop the calendar must match: one heap of
+    [fire_at, seq, fn, arg] entries, cancelled entries skipped when popped."""
+
+    def __init__(self):
+        self.now = 0
+        self.stats = SimpleNamespace(events_processed=0)
+        self._heap = []
+        self._seq = 0
+
+    def schedule(self, fire_at, fn, arg=None):
+        assert fire_at >= self.now
+        entry = [fire_at, self._seq, fn, arg]
+        self._seq += 1
+        heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry):
+        if entry[2] is None:
+            return False
+        entry[2] = None
+        return True
+
+    def pending_count(self):
+        return sum(entry[2] is not None for entry in self._heap)
+
+    def run_until(self, t_end):
+        while self._heap and self._heap[0][0] <= t_end:
+            entry = heappop(self._heap)
+            fn = entry[2]
+            if fn is None:
+                continue
+            entry[2] = None
+            self.now = entry[0]
+            self.stats.events_processed += 1
+            fn(entry[3])
+        self.now = t_end
+
+
+def _drive(sim, script, behaviours, limit=300):
+    """Run script on sim; return everything observable: firings with their
+    clock, cancel results, and the live and fired counts after each run."""
+    handles = []
+    log = []
+
+    def add(fire_at):
+        handles.append(sim.schedule(fire_at, fire, len(handles)))
+
+    def cancel(x):
+        if handles:
+            log.append(("cancel", sim.cancel(handles[x % len(handles)])))
+
+    def fire(label):
+        log.append(("fire", label, sim.now))
+        for op, x in behaviours[label % len(behaviours)]:
+            if op == "cancel":
+                cancel(x)
+            elif len(handles) < limit:
+                add(sim.now if op == "now" else sim.now + x)
+
+    for op, x in script + [("run", 10_000)]:
+        if op == "schedule":
+            add(sim.now + x)
+        elif op == "cancel":
+            cancel(x)
+        else:
+            sim.run_until(sim.now + x)
+            log.append(("run", sim.now, sim.pending_count(), sim.stats.events_processed))
+    return log
+
+
+_small = st.integers(min_value=0, max_value=12)
+
+
+@given(
+    script=st.lists(st.tuples(st.sampled_from(["schedule", "cancel", "run"]), _small),
+                    max_size=60),
+    behaviours=st.lists(
+        st.lists(st.tuples(st.sampled_from(["now", "later", "cancel"]), _small), max_size=3),
+        min_size=1, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_calendar_matches_a_plain_heap(script, behaviours):
+    assert _drive(Simulator(), script, behaviours) == _drive(_HeapReference(), script, behaviours)
 
 
 def test_conservation_check():
