@@ -11,8 +11,7 @@ import sys
 
 from .metrics import (
     DomainError,
-    EModelInputs,
-    classify,
+    delay_class,
     id_from_delay,
     mos_from_r,
     mos_label,
@@ -80,15 +79,13 @@ def _cmd_mos(args) -> int:
         if args.delay is None:
             raise ValidationError("need either --r or --delay")
         delay_ms = args.delay
-        r = r_factor(EModelInputs(ppl_pct=args.loss,
-                                  id_factor=id_from_delay(delay_ms)))
+        r = r_factor(ppl_pct=args.loss, id_factor=id_from_delay(delay_ms))
     score = mos_from_r(r)
     quality, effort = mos_label(min(5.0, max(1.0, score)))
     print(f"R {r:.2f}")
     print(f"MOS {score:.3f} ({quality}: {effort})")
     if delay_ms is not None:
-        classes = classify(delay_ms, 0.0)
-        print(f"delay class {classes.delay_class}")
+        print(f"delay class {delay_class(delay_ms)}")
     return EXIT_OK
 
 

@@ -79,25 +79,19 @@ def id_from_delay(d_ms: float) -> float:
     return rating
 
 
-@dataclass(frozen=True)
-class EModelInputs:
-    ie: float = 0.0
-    ppl_pct: float = 0.0  # observed packet loss, percent
-    bpl: float = 4.3
-    id_factor: float = 0.0
-
-
-def r_factor(inputs: EModelInputs) -> float:
-    """Transmission rating with loss folded into the equipment impairment,
-    clamped at 0.  The loss must be a percentage in [0, 100]; with ie and
-    id_factor >= 0 and bpl > 0, R never exceeds 100 - DEFAULT_IS."""
-    if not 0 <= inputs.ppl_pct <= 100:  # also catches NaN
-        raise DomainError(f"packet loss must be in [0, 100] %, got {inputs.ppl_pct}")
-    if inputs.ppl_pct > 0:
-        ie_eff = inputs.ie + (95 - inputs.ie) * inputs.ppl_pct / (inputs.ppl_pct + inputs.bpl)
+def r_factor(*, ie: float = 0.0, ppl_pct: float = 0.0, bpl: float = 4.3,
+             id_factor: float = 0.0) -> float:
+    """Transmission rating with the observed packet loss (ppl_pct, percent)
+    folded into the equipment impairment ie, clamped at 0.  The loss must be
+    a percentage in [0, 100]; with ie and id_factor >= 0 and bpl > 0, R never
+    exceeds 100 - DEFAULT_IS."""
+    if not 0 <= ppl_pct <= 100:  # also catches NaN
+        raise DomainError(f"packet loss must be in [0, 100] %, got {ppl_pct}")
+    if ppl_pct > 0:
+        ie_eff = ie + (95 - ie) * ppl_pct / (ppl_pct + bpl)
     else:
-        ie_eff = inputs.ie
-    return max(0.0, 100.0 - DEFAULT_IS - ie_eff - inputs.id_factor)
+        ie_eff = ie
+    return max(0.0, 100.0 - DEFAULT_IS - ie_eff - id_factor)
 
 
 def mos_from_r(r: float) -> float:
@@ -114,13 +108,9 @@ def mos_label(score: float) -> tuple[str, str]:
     return MOS_TABLE[row]
 
 
-@dataclass(frozen=True)
-class QualityClass:
-    delay_class: str
-    jitter_class: str
-
-
-def _delay_class(delay_ms: float) -> str:
+def delay_class(delay_ms: float) -> str:
+    """Guideline class of a mouth-to-ear delay; a boundary value belongs to
+    the better class."""
     if delay_ms <= 150:
         return GOOD
     if delay_ms <= 300:
@@ -128,19 +118,15 @@ def _delay_class(delay_ms: float) -> str:
     return POOR
 
 
-def _jitter_class(jitter_ms: float) -> str:
+def jitter_class(jitter_ms: float) -> str:
+    """Guideline class of a jitter, by magnitude (the sign is diagnostic
+    only); a boundary value belongs to the better class."""
     magnitude = abs(jitter_ms)
     if magnitude <= 20:
         return GOOD
     if magnitude <= 50:
         return ACCEPTABLE
     return POOR
-
-
-def classify(delay_ms: float, jitter_ms: float) -> QualityClass:
-    """Guideline classes; boundary values belong to the better class and the
-    jitter sign is diagnostic only."""
-    return QualityClass(_delay_class(delay_ms), _jitter_class(jitter_ms))
 
 
 @dataclass
@@ -220,8 +206,8 @@ def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
         e2e_sum_us = sums[w] + codec_us * n
         mean_e2e_ms = e2e_sum_us / (n * 1_000)
         loss_pct = 100.0 * drops[w] / (n + drops[w])
-        r = r_factor(EModelInputs(ie=codec.ie, ppl_pct=loss_pct, bpl=codec.bpl,
-                                  id_factor=id_from_delay(mean_e2e_ms)))
+        r = r_factor(ie=codec.ie, ppl_pct=loss_pct, bpl=codec.bpl,
+                     id_factor=id_from_delay(mean_e2e_ms))
         jit = jmax[w]
         jitter_s = None if jit is None else jit / 1_000_000
         buckets.append(QoSBucket(
@@ -233,8 +219,8 @@ def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
             mean_e2e_s=e2e_sum_us / (n * 1_000_000),
             pdv_s2=(n * sumsqs[w] - sums[w] * sums[w]) / (n * n * 10**12),
             mos=mos_from_r(r),
-            delay_class=_delay_class(mean_e2e_ms),
-            jitter_class=None if jit is None else _jitter_class(jit / 1_000),
+            delay_class=delay_class(mean_e2e_ms),
+            jitter_class=None if jit is None else jitter_class(jit / 1_000),
             in_warmup=start < warm_up_us,
         ))
     return buckets

@@ -88,10 +88,9 @@ class UmtsParams:
 
     def check(self) -> None:
         """Raise ValueError for the first rule broken, its message led by the
-        field's name.  A bler of 1.0 passes, so the every-packet-drops case
-        stays testable."""
-        if not 0 <= self.bler <= 1:
-            raise ValueError("bler must be in [0, 1]")
+        field's name (validate() reports it under the config key)."""
+        if not 0 <= self.bler < 1:
+            raise ValueError("bler must be in [0, 1)")
         if self.max_rlc_retx < 0:
             raise ValueError("max_rlc_retx must be >= 0")
         if self.tti_us <= 0:

@@ -14,7 +14,7 @@ from .netmodels import Fabric, IpCloud, PathTracer, UmtsCell, WifiCell
 from .scenario import ScenarioSpec, SubnetSpec, spec_as_dict, spec_digest
 from .signaling import SessionLayer
 from .simcore import EventHandlerFault, RunStats, SimError, Simulator
-from .traffic import CODECS, DIR_FORWARD, DIR_REVERSE, CallScheduler
+from .traffic import CODECS, DIR_FORWARD, DIR_REVERSE, CallScheduler, MediaStream
 
 
 class IncompatibleRuns(SimError):
@@ -31,7 +31,7 @@ class RunOutput:
     manifest_path: str | None = None
     trace_path: str | None = None
     session_log_path: str | None = None
-    calls: list = None
+    calls: list[tuple[MediaStream, MediaStream]] = None  # (forward, reverse) per call
     session_layer: SessionLayer = None
 
 
@@ -119,8 +119,8 @@ def run_scenario(spec: ScenarioSpec, *, seed: int | None = None,
 
     # each stream's records are folded as they are made, never all held
     buckets = {
-        direction: bucketize((records_from_stream(call.streams[direction])
-                              for call in scheduler.calls), codec,
+        direction: bucketize((records_from_stream(pair[direction])
+                              for pair in scheduler.calls), codec,
                              run_length_us=spec.run_length_us,
                              width_us=spec.bucket_width_us,
                              warm_up_us=spec.warm_up_us)

@@ -134,9 +134,6 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
             fail(f"subnet {sub.name}: kind must be wifi or umts")
         if not 1 <= sub.stations <= MAX_STATIONS:
             fail(f"subnet {sub.name}: stations must be in [1, {MAX_STATIONS}]")
-        if sub.kind == "umts" and not 0 <= sub.params.bler < 1:
-            # the cell also takes 1.0, a test hook that drops every packet
-            fail(f"subnet {sub.name}: bler must be in [0, 1)")
         check_params(sub.params, _KEYS[sub.kind], f"subnet {sub.name}: ")
     if spec.codec not in CODECS:
         fail(f"unknown codec {spec.codec!r} (have {', '.join(sorted(CODECS))})")
@@ -258,9 +255,11 @@ def parse_scenario_text(text: str, default_name: str = "") -> ScenarioSpec:
         kind = cp[section].get("kind")
         if kind not in _PARAMS:
             raise ParseError(f"[{section}] kind must be wifi or umts")
-        stations = _convert(section, "stations", cp[section].get("stations", "4"), int)
+        sized = {}
+        if "stations" in cp[section]:  # else SubnetSpec's own default
+            sized["stations"] = _convert(section, "stations", cp[section]["stations"], int)
         params = _section_kwargs(cp, section, _KEYS[kind], skip=("kind", "stations"))
-        subnets.append(SubnetSpec(name, _PARAMS[kind](**params), stations))
+        subnets.append(SubnetSpec(name, _PARAMS[kind](**params), **sized))
     if len(subnets) != 2:
         raise ValidationError(f"exactly 2 [subnet.*] sections required, got {len(subnets)}")
 
@@ -337,35 +336,26 @@ _CAL_UMTS = UmtsParams(bler=0.3, max_rlc_retx=3)
 _CAL_CLOUD = CloudSpec(base_delay_us=30_000, jitter_half_width_us=0, loss_prob=0.0)
 
 
-def _builtin(name: str, sub1: SubnetSpec, sub2: SubnetSpec) -> ScenarioSpec:
-    return validate(ScenarioSpec(
-        name=name,
-        subnets=(sub1, sub2),
-        cloud=_CAL_CLOUD,
-        calls=CallSpec(caller_subnet=sub1.name, callee_subnet=sub2.name),
-    ))
-
-
-def _wifi_city(city: str) -> SubnetSpec:
-    return SubnetSpec(city, WifiParams())
-
-
-def _umts_city(city: str) -> SubnetSpec:
-    return SubnetSpec(city, _CAL_UMTS)
+# each builtin's (caller, callee) subnets
+_BUILTINS = {
+    "wifi-wifi": (SubnetSpec("hawaii", WifiParams()), SubnetSpec("florida", WifiParams())),
+    "umts-umts": (SubnetSpec("new-york", _CAL_UMTS), SubnetSpec("california", _CAL_UMTS)),
+    "wifi-umts": (SubnetSpec("hawaii", WifiParams()), SubnetSpec("california", _CAL_UMTS)),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_scenario(name: str) -> ScenarioSpec:
-    if name == "wifi-wifi":
-        return _builtin(name, _wifi_city("hawaii"), _wifi_city("florida"))
-    if name == "umts-umts":
-        return _builtin(name, _umts_city("new-york"), _umts_city("california"))
-    if name == "wifi-umts":
-        return _builtin(name, _wifi_city("hawaii"), _umts_city("california"))
-    raise ValidationError(f"unknown builtin scenario {name!r} "
-                          f"(have wifi-wifi, umts-umts, wifi-umts)")
-
-
-BUILTIN_NAMES = ("wifi-wifi", "umts-umts", "wifi-umts")
+    if name not in _BUILTINS:
+        raise ValidationError(f"unknown builtin scenario {name!r} "
+                              f"(have {', '.join(BUILTIN_NAMES)})")
+    caller, callee = _BUILTINS[name]
+    return validate(ScenarioSpec(
+        name=name,
+        subnets=(caller, callee),
+        cloud=_CAL_CLOUD,
+        calls=CallSpec(caller_subnet=caller.name, callee_subnet=callee.name),
+    ))
 
 
 def with_overrides(spec: ScenarioSpec, *, master_seed: int | None = None,

@@ -18,7 +18,7 @@ from .simcore import US_PER_S, Simulator, exp_sample
 # added inside each network model.
 IP_UDP_RTP_OVERHEAD_BYTES = 40
 
-DIR_FORWARD = 0  # index in Call.streams: caller to callee
+DIR_FORWARD = 0  # index in a call's stream pair: caller to callee
 DIR_REVERSE = 1
 DIRECTION_LABELS = ("caller_to_callee", "callee_to_caller")
 
@@ -120,33 +120,11 @@ class MediaStream:
         self.n_packets = n_packets
         self.recv = array("q")
 
-    @property
-    def emitted(self) -> int:
-        return len(self.recv)
-
     def mark_delivered(self, seq: int, t_recv: int) -> None:
         self.recv[seq] = t_recv
 
     def mark_dropped(self, seq: int) -> None:
         self.recv[seq] = DROPPED
-
-
-class Call:
-    """One established call and its two media streams, forward then reverse."""
-
-    __slots__ = ("caller", "callee", "t_established", "duration", "streams")
-
-    def __init__(self, caller: str, callee: str, t_established: int, duration: int,
-                 codec: CodecProfile):
-        self.caller = caller
-        self.callee = callee
-        self.t_established = t_established
-        self.duration = duration
-        n = duration // codec.frame_interval_us
-        self.streams = (
-            MediaStream(caller, callee, codec, t_established, n),
-            MediaStream(callee, caller, codec, t_established, n),
-        )
 
 
 @dataclass(frozen=True)
@@ -189,7 +167,8 @@ class CallScheduler:
         self.codec = codec
         self.session_layer = session_layer
         self.fabric = fabric
-        self.calls: list[Call] = []
+        # one (forward, reverse) MediaStream pair per established call
+        self.calls: list[tuple[MediaStream, MediaStream]] = []
         self._rng = sim.rng.stream(f"call-arrivals:{calls.caller_subnet}")
         self._busy: set[str] = set()
         self._pending_durations: dict[int, int] = {}  # session_id -> duration ticks
@@ -228,16 +207,17 @@ class CallScheduler:
 
     def _on_established(self, session) -> None:
         duration = self._pending_durations.pop(session.session_id)
-        call = Call(session.caller, session.callee, self.sim.now, duration, self.codec)
-        self.calls.append(call)
+        now = self.sim.now
+        n = duration // self.codec.frame_interval_us
+        streams = (MediaStream(session.caller, session.callee, self.codec, now, n),
+                   MediaStream(session.callee, session.caller, self.codec, now, n))
+        self.calls.append(streams)
         self.sim.stats.calls_established += 1
-        if call.streams[0].n_packets > 0:
+        if n > 0:
             # both directions share t0, frame interval and length, so one
             # event per frame paces the pair
-            self.sim.schedule(call.t_established, self._emit, (call.streams, 0),
-                              kind="media-emit")
-        self.sim.schedule(call.t_established + duration, self._end_call,
-                          session, kind="call-end")
+            self.sim.schedule(now, self._emit, (streams, 0), kind="media-emit")
+        self.sim.schedule(now + duration, self._end_call, session, kind="call-end")
 
     def _emit(self, arg) -> None:
         streams, seq = arg

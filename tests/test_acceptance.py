@@ -18,7 +18,8 @@ import pytest
 from voipsim.cli import main
 from voipsim.metrics import (
     bucketize,
-    classify,
+    delay_class,
+    jitter_class,
     mos_from_r,
     records_from_stream,
     write_metrics_csv,
@@ -134,13 +135,13 @@ def test_guideline_boundary_classification(capsys):
                     (300, "Acceptable"), (301, "Poor"))
     jitter_probes = ((20, "Good"), (21, "Acceptable"),
                      (50, "Acceptable"), (51, "Poor"))
-    ok = (all(classify(d, 0).delay_class == want for d, want in delay_probes)
-          and all(classify(0, j).jitter_class == want for j, want in jitter_probes))
+    ok = (all(delay_class(d) == want for d, want in delay_probes)
+          and all(jitter_class(j) == want for j, want in jitter_probes))
     report(capsys, 3, "delay/jitter class boundaries", ok)
     for d, want in delay_probes:
-        assert classify(d, 0).delay_class == want, (d, want)
+        assert delay_class(d) == want, (d, want)
     for j, want in jitter_probes:
-        assert classify(0, j).jitter_class == want, (j, want)
+        assert jitter_class(j) == want, (j, want)
 
 
 # -- 4: same seed, byte-identical outputs --------------------------------------
@@ -263,8 +264,8 @@ def test_lone_flow_has_zero_variation(capsys):
     spec = lone_flow_spec()
     out = run_scenario(spec)
     checks = [(out.stats.calls_established == 1, "expected exactly one call")]
-    for call in out.calls:
-        for direction, stream in enumerate(call.streams):
+    for pair in out.calls:
+        for direction, stream in enumerate(pair):
             records = records_from_stream(stream)
             delays = {tick - t_send for t_send, tick in records if tick >= 0}
             checks.append((len(delays) == 1,

@@ -18,11 +18,11 @@ from voipsim.metrics import (
     MOS_TABLE,
     POOR,
     DomainError,
-    EModelInputs,
     QoSBucket,
     bucketize,
-    classify,
+    delay_class,
     id_from_delay,
+    jitter_class,
     mos_from_r,
     mos_label,
     r_factor,
@@ -69,7 +69,7 @@ def test_mos_midpoint():
 
 def test_mos_default_rating():
     # zero impairment leaves R = 100 - 6.8
-    assert r_factor(EModelInputs()) == pytest.approx(93.2)
+    assert r_factor() == pytest.approx(93.2)
     assert mos_from_r(93.2) == pytest.approx(4.409285824, abs=1e-9)
 
 
@@ -89,14 +89,14 @@ def test_mos_strictly_increasing_above_ten():
 
 def test_loss_folds_into_equipment_impairment():
     # Ppl=2% on G.711: Ie_eff = 0 + 95*2/(2+4.3)
-    got = r_factor(EModelInputs(ppl_pct=2.0, bpl=4.3))
+    got = r_factor(ppl_pct=2.0, bpl=4.3)
     assert got == pytest.approx(93.2 - 190 / 6.3, abs=1e-12)
 
 
 def test_rating_clamps_to_unit_interval():
-    assert r_factor(EModelInputs(id_factor=500.0)) == 0.0
+    assert r_factor(id_factor=500.0) == 0.0
     # the top is the zero-impairment rating, to the last bit
-    assert r_factor(EModelInputs()) == 100.0 - DEFAULT_IS
+    assert r_factor() == 100.0 - DEFAULT_IS
 
 
 def test_delay_impairment_breakpoint():
@@ -290,7 +290,7 @@ def test_pdv_invariant_under_delay_shift(delays, bump):
        st.floats(min_value=0, max_value=100, exclude_min=True),
        st.floats(min_value=0, max_value=100))
 def test_rating_never_leaves_unit_interval(ie, ppl, bpl, id_factor):
-    r = r_factor(EModelInputs(ie=ie, ppl_pct=ppl, bpl=bpl, id_factor=id_factor))
+    r = r_factor(ie=ie, ppl_pct=ppl, bpl=bpl, id_factor=id_factor)
     # no in-domain input rates above zero impairment
     assert 0.0 <= r <= 100.0 - DEFAULT_IS
     # the score cubic dips to ~0.9888 near R=3.2 before recovering; 4.5 at R=100
@@ -300,18 +300,18 @@ def test_rating_never_leaves_unit_interval(ie, ppl, bpl, id_factor):
 # --- quality classes ---------------------------------------------------------
 
 def test_delay_class_boundaries_favour_better():
-    assert classify(150, 0).delay_class == GOOD
-    assert classify(150.001, 0).delay_class == ACCEPTABLE
-    assert classify(300, 0).delay_class == ACCEPTABLE
-    assert classify(300.001, 0).delay_class == POOR
+    assert delay_class(150) == GOOD
+    assert delay_class(150.001) == ACCEPTABLE
+    assert delay_class(300) == ACCEPTABLE
+    assert delay_class(300.001) == POOR
 
 
 def test_jitter_class_uses_magnitude():
-    assert classify(0, 20).jitter_class == GOOD
-    assert classify(0, -20).jitter_class == GOOD
-    assert classify(0, 20.001).jitter_class == ACCEPTABLE
-    assert classify(0, 50).jitter_class == ACCEPTABLE
-    assert classify(0, -50.001).jitter_class == POOR
+    assert jitter_class(20) == GOOD
+    assert jitter_class(-20) == GOOD
+    assert jitter_class(20.001) == ACCEPTABLE
+    assert jitter_class(50) == ACCEPTABLE
+    assert jitter_class(-50.001) == POOR
 
 
 # --- windowed aggregation ----------------------------------------------------
@@ -400,8 +400,8 @@ def test_bucketize_loss_lowers_window_mos():
     b_lossy = bucketize([lossy], G711, run_length_us=width, width_us=width)[0]
     assert b_lossy.dropped == 2
     assert b_lossy.mos < b_clean.mos
-    expected = mos_from_r(r_factor(EModelInputs(
-        ppl_pct=2.0, bpl=G711.bpl, id_factor=id_from_delay(32.4))))
+    expected = mos_from_r(r_factor(
+        ppl_pct=2.0, bpl=G711.bpl, id_factor=id_from_delay(32.4)))
     assert b_lossy.mos == pytest.approx(expected)
 
 

@@ -2,6 +2,7 @@
 fabric's event-free delivery of a media packet's last wait."""
 
 import dataclasses
+import math
 import statistics
 
 import pytest
@@ -293,7 +294,7 @@ def _wifi_run(monkeypatch=None, step_us=None):
     spec = validate(dataclasses.replace(builtin_scenario("wifi-wifi"),
                                         run_length_us=seconds(120), warm_up_us=0))
     out = run_scenario(spec, seed=1)
-    logs = [s.recv.tobytes() for call in out.calls for s in call.streams]
+    logs = [s.recv.tobytes() for pair in out.calls for s in pair]
     return out, logs
 
 
@@ -406,8 +407,20 @@ def test_wifi_contention_widens_delay_spread():
 # -- UMTS --------------------------------------------------------------------
 
 
+class _AttemptRng:
+    """BLER source failing the first k attempts, then succeeding."""
+
+    def __init__(self, k):
+        self.k = k
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return 0.0 if self.calls <= self.k else 0.99
+
+
 @pytest.mark.parametrize("kwargs", [
-    {"tti_us": 0}, {"queue_cap": 0}, {"max_rlc_retx": -1},
+    {"tti_us": 0}, {"queue_cap": 0}, {"max_rlc_retx": -1}, {"bler": 1.0},
 ])
 def test_umts_rejects_degenerate_parameters(kwargs):
     with pytest.raises(ValueError):
@@ -439,7 +452,8 @@ def test_umts_off_boundary_waits_for_next_tti():
 
 
 def test_umts_bler_one_drops_every_packet():
-    sim, fabric, cell = umts_fixture(bler=1.0, max_rlc_retx=2)
+    sim, fabric, cell = umts_fixture(bler=0.5, max_rlc_retx=2)
+    cell._rng = _AttemptRng(math.inf)  # every attempt fails
     probe = Probe()
     sim.schedule(0, _send_one(fabric, probe, "p", src="ran-ws1"), kind="feed")
     sim.run_until(seconds(1))
@@ -448,7 +462,8 @@ def test_umts_bler_one_drops_every_packet():
 
 
 def test_umts_each_retransmission_adds_one_tti():
-    sim, fabric, cell = umts_fixture(bler=1.0, max_rlc_retx=2)
+    sim, fabric, cell = umts_fixture(bler=0.5, max_rlc_retx=2)
+    cell._rng = _AttemptRng(math.inf)  # every attempt fails
     drop_times = []
     orig = fabric.segment_drop
 
@@ -505,18 +520,6 @@ def umts_oracle_delivery(t_send, k, up, cloud_us, down):
     t_air_up = up.next_tti_boundary(t_send) + (k + 1) * up.params.tti_us
     t_down = t_air_up + up.pipe_us + cloud_us + down.pipe_us
     return down.next_tti_boundary(t_down) + down.params.tti_us
-
-
-class _AttemptRng:
-    """BLER source failing the first k attempts, then succeeding."""
-
-    def __init__(self, k):
-        self.k = k
-        self.calls = 0
-
-    def random(self):
-        self.calls += 1
-        return 0.0 if self.calls <= self.k else 0.99
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

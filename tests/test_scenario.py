@@ -238,7 +238,7 @@ def test_shipped_configs_validate():
 
 
 def test_bler_one_rejected_in_config():
-    # a degenerate all-drop air link is a test hook, not a runnable scenario
+    # a degenerate all-drop air link is not a runnable scenario
     text = MINIMAL.replace("kind = umts", "kind = umts\nbler = 1.0")
     with pytest.raises(ValidationError, match=r"bler must be in \[0, 1\)"):
         parse_scenario_text(text, default_name="demo")

@@ -5,14 +5,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from voipsim import traffic
 from voipsim.simcore import US_PER_S, Simulator, exp_sample, seconds
 from voipsim.traffic import (
     CODECS,
-    DIR_FORWARD,
-    DIR_REVERSE,
     IP_UDP_RTP_OVERHEAD_BYTES,
     PENDING,
-    Call,
     CallScheduler,
     CallSpec,
     CodecProfile,
@@ -51,26 +49,6 @@ def test_codec_rejects_negative_impairment():
                      encode_delay_us=0, decode_delay_us=0)
 
 
-def test_call_packet_budget():
-    codec = CODECS["g711"]
-    call = Call("a", "b", t_established=0, duration=seconds(180), codec=codec)
-    assert call.streams[DIR_FORWARD].n_packets == 9_000
-    assert call.streams[DIR_REVERSE].n_packets == 9_000
-
-
-def test_zero_duration_call_has_no_packets():
-    call = Call("a", "b", t_established=0, duration=0, codec=CODECS["g711"])
-    assert call.streams[0].n_packets == 0
-
-
-def test_stream_sends_follow_frame_interval():
-    call = Call("a", "b", t_established=1_234, duration=seconds(1), codec=CODECS["g711"])
-    fwd = call.streams[DIR_FORWARD]
-    # send times are implicit: t0 + seq * frame interval
-    assert fwd.t0 == 1_234
-    assert fwd.t0 + 7 * fwd.codec.frame_interval_us == 1_234 + 7 * 20_000
-
-
 def test_arrival_rate_matches_configured_mean():
     # brute-force: with a 60 s mean, arrivals per hour over 10,000 simulated
     # hours must come out at 60 within 2%
@@ -105,22 +83,32 @@ def test_call_process_rejects_bad_means():
 
 
 class _InstantLayer:
-    """Session stub: establishes after one zero-delay event, no transport."""
+    """Session stub: establishes after one zero-delay event, no transport.
+    Keeps the established sessions in order, each stamped with the instants
+    it was established and torn down (None while the call runs)."""
 
     def __init__(self, sim):
         self.sim = sim
         self._next = 0
+        self.established = []
 
     def initiate(self, caller, callee, on_established, on_closed):
         session = SimpleNamespace(session_id=self._next, caller=caller,
                                   callee=callee, call=None,
                                   on_established=on_established,
-                                  on_closed=on_closed)
+                                  on_closed=on_closed,
+                                  t_established=None, t_teardown=None)
         self._next += 1
-        self.sim.schedule_in(0, session.on_established, session)
+        self.sim.schedule_in(0, self._establish, session)
         return session
 
+    def _establish(self, session):
+        session.t_established = self.sim.now
+        self.established.append(session)
+        session.on_established(session)
+
     def teardown(self, session):
+        session.t_teardown = self.sim.now
         self.sim.schedule_in(0, session.on_closed, session)
 
 
@@ -150,34 +138,70 @@ def _run_scheduler(seed, inter_s, dur_s, callers, callees, horizon_s):
     return sim, sched, fabric
 
 
+def _one_call(monkeypatch, t_arrival, duration_us):
+    """One G.711 call between one pair, its arrival gap and duration forced;
+    the next arrival falls far past the 200 s run."""
+    draws = iter((t_arrival, seconds(10_000), duration_us))
+    monkeypatch.setattr(traffic, "exp_sample", lambda _rng, _mean: next(draws))
+    sim, sched, _ = _run_scheduler(1, 60, 180, ["a"], ["b"], 200)
+    (session,) = sched.session_layer.established
+    (pair,) = sched.calls
+    return sim, session, pair
+
+
+def test_call_packet_budget(monkeypatch):
+    _sim, _session, (fwd, rev) = _one_call(monkeypatch, 1_234, seconds(180))
+    assert fwd.n_packets == 9_000
+    assert rev.n_packets == 9_000
+    assert len(fwd.recv) == len(rev.recv) == 9_000
+
+
+def test_zero_duration_call_has_no_packets(monkeypatch):
+    sim, _session, (fwd, rev) = _one_call(monkeypatch, 1_234, 0)
+    assert fwd.n_packets == rev.n_packets == 0
+    assert sim.stats.packets_generated == 0
+
+
+def test_stream_sends_follow_frame_interval(monkeypatch):
+    _sim, session, pair = _one_call(monkeypatch, 1_234, seconds(1))
+    assert session.t_established == 1_234
+    for stream in pair:
+        # t0 is the establishment instant, and send times are implicit:
+        # t0 + seq * frame interval (the sink logs each emission tick)
+        assert stream.t0 == 1_234
+        assert stream.recv[7] == 1_234 + 7 * 20_000
+
+
 def test_source_pacing_is_exact():
     sim, sched, fabric = _run_scheduler(1, 30, 5, ["a1", "a2"], ["b1", "b2"], 120)
     assert sched.calls, "expected at least one established call"
     # consecutive seq within one direction are spaced exactly one frame
     # interval; the sink logs each packet's emission tick as its arrival
-    for call in sched.calls:
-        for stream in call.streams:
-            for seq in range(1, stream.emitted):
+    for pair in sched.calls:
+        for stream in pair:
+            for seq in range(1, len(stream.recv)):
                 assert stream.recv[seq] - stream.recv[seq - 1] == 20_000
     assert fabric.sent, "packets must reach the fabric"
 
 
 def test_media_only_within_call_window():
     sim, sched, fabric = _run_scheduler(2, 20, 10, ["a1", "a2"], ["b1", "b2"], 200)
-    for call in sched.calls:
-        for stream in call.streams:
-            assert stream.t0 == call.t_established
-            if stream.emitted:
-                last_send = stream.recv[stream.emitted - 1]
-                assert last_send <= call.t_established + call.duration
+    for session, pair in zip(sched.session_layer.established, sched.calls, strict=True):
+        # a call still running at the end has sent nothing past now
+        end = sim.now if session.t_teardown is None else session.t_teardown
+        for stream in pair:
+            assert stream.t0 == session.t_established
+            if len(stream.recv):
+                last_send = stream.recv[-1]
+                assert last_send <= end
 
 
 def test_forced_pair_when_single_idle():
     sim, sched, fabric = _run_scheduler(3, 30, 1, ["only-a"], ["only-b"], 300)
     assert sched.calls
-    for call in sched.calls:
-        assert call.caller == "only-a"
-        assert call.callee == "only-b"
+    for fwd, rev in sched.calls:
+        assert (fwd.src, fwd.dst) == ("only-a", "only-b")
+        assert (rev.src, rev.dst) == ("only-b", "only-a")
 
 
 def test_serial_mode_blocks_and_counts():
@@ -190,10 +214,10 @@ def test_serial_mode_blocks_and_counts():
 def test_serial_mode_no_overlapping_calls_per_workstation():
     sim, sched, _ = _run_scheduler(5, 10, 30, ["a1", "a2"], ["b1", "b2"], 600)
     spans = {}
-    for call in sched.calls:
-        for ws in (call.caller, call.callee):
-            spans.setdefault(ws, []).append((call.t_established,
-                                             call.t_established + call.duration))
+    for session in sched.session_layer.established:
+        end = math.inf if session.t_teardown is None else session.t_teardown
+        for ws in (session.caller, session.callee):
+            spans.setdefault(ws, []).append((session.t_established, end))
     for ws, intervals in spans.items():
         intervals.sort()
         for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
@@ -202,7 +226,7 @@ def test_serial_mode_no_overlapping_calls_per_workstation():
 
 def test_generation_counts_match_stream_logs():
     sim, sched, fabric = _run_scheduler(6, 15, 20, ["a1", "a2"], ["b1", "b2"], 300)
-    emitted = sum(s.emitted for c in sched.calls for s in c.streams)
+    emitted = sum(len(s.recv) for pair in sched.calls for s in pair)
     assert emitted == sim.stats.packets_generated
     assert sim.stats.conservation_holds()
-    assert not any(PENDING in s.recv for c in sched.calls for s in c.streams)
+    assert not any(PENDING in s.recv for pair in sched.calls for s in pair)
