@@ -141,16 +141,8 @@ class Envelope:
         self.on_fail = on_fail
 
 
-class PathTracer:
-    """Optional per-packet segment log: ingress/egress ticks and drop reason."""
-
-    COLUMNS = ("packet_id", "segment", "ingress_ticks", "egress_ticks", "drop_reason")
-
-    def __init__(self):
-        self.rows: list[tuple] = []
-
-    def add(self, pid: int, segment: str, ingress: int, egress: int, reason: str) -> None:
-        self.rows.append((pid, segment, ingress, egress, reason))
+# the per-packet segment trace's columns: Fabric.trace_row's arguments, in order
+TRACE_COLUMNS = ("packet_id", "segment", "ingress_ticks", "egress_ticks", "drop_reason")
 
 
 class _Contender:
@@ -463,10 +455,11 @@ class Fabric:
 
     PROXY = "proxy"
 
-    def __init__(self, sim: Simulator, cloud: IpCloud, tracer: PathTracer | None = None):
+    def __init__(self, sim: Simulator, cloud: IpCloud, trace_row=None):
         self.sim = sim
         self.cloud = cloud
-        self.tracer = tracer
+        # called with one trace row per segment a packet ends or is dropped in
+        self.trace_row = trace_row
         self.cells_by_ws: dict[str, object] = {}
         self._paths: dict[tuple, list] = {}
         self._fixed: dict[str, tuple[int, str]] = {}
@@ -560,7 +553,7 @@ class Fabric:
         t_done = sim.now + delay_us + step[4]
         if (step[5] == len(env.path) and env.on_end is self._media_sink
                 and t_done <= sim.horizon):
-            if self.tracer is not None:
+            if self.trace_row is not None:
                 self._trace_run(env, step, t_done)
             self._media_done(env.item, t_done)
         else:
@@ -569,7 +562,7 @@ class Fabric:
     def _run_done(self, env: Envelope) -> None:
         """The current segment and the fixed run after it end now."""
         step = env.path[env.hop]
-        if self.tracer is not None:
+        if self.trace_row is not None:
             self._trace_run(env, step, self.sim.now)
         self._resume(env, step[5])
 
@@ -578,16 +571,15 @@ class Fabric:
         ends at t_done, rebuilt by arithmetic from the fixed delays."""
         label, _fn, _node, _fixed, tail_us, next_hop = step
         egress = t_done - tail_us
-        self.tracer.add(env.pid, label, env.hop_ingress, egress, "")
+        self.trace_row(env.pid, label, env.hop_ingress, egress, "")
         for label, _fn, _node, fixed, _tail, _next in env.path[env.hop + 1:next_hop]:
-            self.tracer.add(env.pid, label, egress, egress + fixed[0], "")
+            self.trace_row(env.pid, label, egress, egress + fixed[0], "")
             egress += fixed[0]
 
     def segment_done(self, env: Envelope) -> None:
         """The current segment ended now, with no wait after it."""
-        if self.tracer is not None:
-            self.tracer.add(env.pid, env.path[env.hop][0], env.hop_ingress,
-                            self.sim.now, "")
+        if self.trace_row is not None:
+            self.trace_row(env.pid, env.path[env.hop][0], env.hop_ingress, self.sim.now, "")
         self._resume(env, env.hop + 1)
 
     def _resume(self, env: Envelope, hop: int) -> None:
@@ -598,9 +590,8 @@ class Fabric:
             self._enter(env)
 
     def segment_drop(self, env: Envelope, reason: str) -> None:
-        if self.tracer is not None:
-            self.tracer.add(env.pid, env.path[env.hop][0], env.hop_ingress,
-                            self.sim.now, reason)
+        if self.trace_row is not None:
+            self.trace_row(env.pid, env.path[env.hop][0], env.hop_ingress, self.sim.now, reason)
         env.on_fail(env.item, reason)
 
     # -- media bookkeeping ----------------------------------------------
@@ -614,14 +605,11 @@ class Fabric:
     def _media_done(self, packet: tuple, t_recv: int) -> None:
         stream, seq = packet
         stream.mark_delivered(seq, t_recv)
-        stats = self.sim.stats
-        stats.packets_delivered += 1
-        stats.packets_in_flight -= 1
+        self.sim.stats.packets_delivered += 1
 
     def _media_fail(self, packet: tuple, reason: str) -> None:
         stream, seq = packet
         stream.mark_dropped(seq)
         stats = self.sim.stats
         stats.packets_dropped += 1
-        stats.packets_in_flight -= 1
         stats.count_drop(reason)

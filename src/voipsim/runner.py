@@ -3,18 +3,20 @@ metrics, and write CSV/manifest outputs atomically."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 
 from . import __version__
 from .metrics import CSV_COLUMNS, QoSBucket, bucketize, records_from_stream, write_metrics_csv
-from .netmodels import Fabric, IpCloud, PathTracer, UmtsCell, WifiCell
-from .scenario import ScenarioSpec, SubnetSpec, spec_as_dict, spec_digest
+from .netmodels import TRACE_COLUMNS, Fabric, IpCloud, UmtsCell, WifiCell
+from .scenario import ScenarioSpec, spec_as_dict, spec_digest
 from .signaling import SessionLayer
 from .simcore import EventHandlerFault, RunStats, SimError, Simulator
-from .traffic import CODECS, DIR_FORWARD, DIR_REVERSE, CallScheduler, MediaStream
+from .traffic import CODECS, DIR_FORWARD, DIR_REVERSE, CallScheduler, MediaStream, count_in_flight
 
 
 class IncompatibleRuns(SimError):
@@ -38,16 +40,15 @@ class RunOutput:
 _CELLS = {"wifi": WifiCell, "umts": UmtsCell}
 
 
-def build_cell(sim: Simulator, subnet: SubnetSpec):
-    return _CELLS[subnet.kind](sim, subnet.name, subnet.workstations(), subnet.params)
-
-
-def _atomic_write_text(path: str, text: str) -> None:
+@contextmanager
+def _atomic_file(path: str):
+    """Yield a text file open beside path; on a normal exit rename it onto path,
+    and on any exception unlink it, so path never holds a part-written file."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         # mkstemp creates 0600; give the output the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -57,6 +58,11 @@ def _atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path: str, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def _write_manifest(path: str, spec: ScenarioSpec, seed: int, stats: RunStats | None,
@@ -74,7 +80,7 @@ def _write_manifest(path: str, spec: ScenarioSpec, seed: int, stats: RunStats | 
         "scenario": spec_as_dict(spec),
         "seed": seed,
         "partial": partial,
-        "files": {k: v for k, v in files.items() if v},
+        "files": {k: os.path.basename(v) for k, v in files.items() if v},
         "stats": asdict(stats) if stats is not None else None,
     }
     _atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -84,38 +90,51 @@ def run_scenario(spec: ScenarioSpec, *, seed: int | None = None,
                  out_dir: str | None = None, trace: bool = False,
                  session_log: bool = False) -> RunOutput:
     """Simulate one repetition.  With out_dir set, writes the metrics CSV and
-    manifest (plus optional trace and session log); on an event-handler fault
-    a partial manifest is still written before the fault propagates."""
+    manifest, plus the optional trace and session log, which are written line
+    by line as the run makes them; on an event-handler fault only a partial
+    manifest is written before the fault propagates."""
     seed = spec.master_seed if seed is None else seed
-    sim = Simulator(master_seed=seed)
-    tracer = PathTracer() if trace else None
-    fabric = Fabric(sim, IpCloud(sim, spec.cloud), tracer)
-    for subnet in spec.subnets:
-        fabric.attach_cell(build_cell(sim, subnet))
-    log_lines: list[str] | None = [] if session_log else None
-    layer = SessionLayer(sim, fabric, spec.calls, session_log=log_lines)
-    for subnet in spec.subnets:
-        layer.register_all(subnet.workstations())
-    by_name = {s.name: s for s in spec.subnets}
-    codec = CODECS[spec.codec]
-    scheduler = CallScheduler(sim, spec.calls,
-                              by_name[spec.calls.caller_subnet].workstations(),
-                              by_name[spec.calls.callee_subnet].workstations(),
-                              codec, layer, fabric)
-    scheduler.start()
-
-    base = None
-    manifest_path = None
+    base = manifest_path = trace_path = log_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, f"{spec.name}-seed{seed}")
         manifest_path = base + ".manifest.json"
-    try:
-        stats = sim.run_until(spec.run_length_us)
-    except EventHandlerFault as fault:
-        if manifest_path:
-            _write_manifest(manifest_path, spec, seed, fault.stats, {}, partial=True)
-        raise
+        trace_path = base + ".trace.csv" if trace else None
+        log_path = base + ".sessions.log" if session_log else None
+
+    with ExitStack() as outputs:
+        trace_row = None
+        if trace_path:
+            write_trace = outputs.enter_context(_atomic_file(trace_path)).write
+            write_trace(",".join(TRACE_COLUMNS) + "\n")
+
+            def trace_row(pid, segment, ingress, egress, reason):
+                write_trace(f"{pid},{segment},{ingress},{egress},{reason}\n")
+        log_line = outputs.enter_context(_atomic_file(log_path)).write if log_path else None
+
+        sim = Simulator(master_seed=seed)
+        fabric = Fabric(sim, IpCloud(sim, spec.cloud), trace_row)
+        for subnet in spec.subnets:
+            cell_type = _CELLS[subnet.kind]
+            fabric.attach_cell(cell_type(sim, subnet.name, subnet.workstations(), subnet.params))
+        layer = SessionLayer(sim, fabric, spec.calls, session_log=log_line)
+        for subnet in spec.subnets:
+            layer.register_all(subnet.workstations())
+        by_name = {s.name: s for s in spec.subnets}
+        codec = CODECS[spec.codec]
+        scheduler = CallScheduler(sim, spec.calls,
+                                  by_name[spec.calls.caller_subnet].workstations(),
+                                  by_name[spec.calls.callee_subnet].workstations(),
+                                  codec, layer, fabric)
+        scheduler.start()
+        try:
+            stats = sim.run_until(spec.run_length_us)
+        except EventHandlerFault as fault:
+            fault.stats.packets_in_flight = count_in_flight(scheduler.calls)
+            if manifest_path:
+                _write_manifest(manifest_path, spec, seed, fault.stats, {}, partial=True)
+            raise
+        stats.packets_in_flight = count_in_flight(scheduler.calls)
 
     # each stream's records are folded as they are made, never all held
     buckets = {
@@ -129,29 +148,17 @@ def run_scenario(spec: ScenarioSpec, *, seed: int | None = None,
 
     out = RunOutput(scenario=spec.name, seed=seed, stats=stats,
                     buckets_by_direction=buckets, calls=scheduler.calls,
-                    session_layer=layer)
+                    session_layer=layer, trace_path=trace_path,
+                    session_log_path=log_path)
     if base is not None:
-        import io
-
         body = io.StringIO()
         write_metrics_csv(body, spec.name, seed, buckets)
         out.csv_path = base + ".metrics.csv"
         _atomic_write_text(out.csv_path, body.getvalue())
-        if tracer is not None:
-            out.trace_path = base + ".trace.csv"
-            rows = [",".join(PathTracer.COLUMNS)]
-            rows += [f"{r[0]},{r[1]},{r[2]},{r[3]},{r[4]}" for r in tracer.rows]
-            _atomic_write_text(out.trace_path, "\n".join(rows) + "\n")
-        if log_lines is not None:
-            out.session_log_path = base + ".sessions.log"
-            _atomic_write_text(out.session_log_path,
-                               "\n".join(log_lines) + ("\n" if log_lines else ""))
         out.manifest_path = manifest_path
         _write_manifest(manifest_path, spec, seed, stats,
-                        {"metrics_csv": os.path.basename(out.csv_path),
-                         "trace_csv": out.trace_path and os.path.basename(out.trace_path),
-                         "session_log": out.session_log_path and os.path.basename(out.session_log_path)},
-                        partial=False)
+                        {"metrics_csv": out.csv_path, "trace_csv": trace_path,
+                         "session_log": log_path}, partial=False)
     return out
 
 

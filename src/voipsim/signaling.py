@@ -76,10 +76,11 @@ class SessionLayer:
     The fabric only needs send(item, size_bytes, src, dst, on_end, on_fail);
     the proxy is the endpoint named Fabric.PROXY, adding PROXY_PROC_US per
     relay.  The answer delay and INVITE timer are read from calls.
+    session_log, when given, is called with one log line, newline included,
+    per state transition.
     """
 
-    def __init__(self, sim: Simulator, fabric, calls: CallSpec, *,
-                 session_log: list[str] | None = None):
+    def __init__(self, sim: Simulator, fabric, calls: CallSpec, *, session_log=None):
         self.sim = sim
         self.fabric = fabric
         self.spec = calls
@@ -226,5 +227,4 @@ class SessionLayer:
         old = session.state
         session.state = new_state
         if self.session_log is not None:
-            self.session_log.append(
-                f"{self.sim.now} {session.session_id} {old}→{new_state}")
+            self.session_log(f"{self.sim.now} {session.session_id} {old}→{new_state}\n")

@@ -127,6 +127,11 @@ class MediaStream:
         self.recv[seq] = DROPPED
 
 
+def count_in_flight(calls) -> int:
+    """Packets of these stream pairs still in flight: their PENDING log entries."""
+    return sum(stream.recv.count(PENDING) for pair in calls for stream in pair)
+
+
 @dataclass(frozen=True)
 class CallSpec:
     """The call layer's parameters: arrival and duration means, the two
@@ -228,7 +233,6 @@ class CallScheduler:
         for stream in streams:  # forward, then reverse
             stream.recv.append(PENDING)
             stats.packets_generated += 1
-            stats.packets_in_flight += 1
             self.fabric.send_media(stream, seq)
 
     def _end_call(self, session) -> None:

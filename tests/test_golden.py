@@ -8,6 +8,9 @@ says so in CHANGES.md.
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,6 +55,14 @@ GOLDEN_SHA256 = {
     # as one folded event
     "wifi-umts": "d275110f16387d52b3afa8abf7d7eba66b9a45ddd718e3ecdc8e1b61110ff5f9",
 }
+# events each of those runs fires: the same on every host, so a change that
+# moves one moves the simulator's cost, and records the new count here
+GOLDEN_EVENTS = {
+    "wifi-wifi": 325_957,
+    "umts-umts": 550_472,
+    "call-storm": 367_719,
+    "wifi-umts": 363_620,
+}
 
 
 def _spec(name):
@@ -71,6 +82,7 @@ def _sha256(path):
 def test_metrics_csv_matches_golden_digest(name, tmp_path):
     out = run_scenario(_spec(name), seed=SEED, out_dir=str(tmp_path))
     assert _sha256(out.csv_path) == GOLDEN_SHA256[name]
+    assert out.stats.events_processed == GOLDEN_EVENTS[name]
 
 
 # Two WiFi cells hand packets to one jittery, lossy cloud: its shared draws
@@ -126,6 +138,34 @@ def test_cross_cell_tie_order_matches_golden_digest(tmp_path):
     assert _by_packet_sha256(out.trace_path) == CONTENDED_TRACE_BY_PACKET_SHA256
     assert _sha256(out.trace_path) == CONTENDED_TRACE_SHA256
     assert _sha256(out.session_log_path) == CONTENDED_SESSIONS_SHA256
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# (SRC, scenario text, out_dir): one traced run with a session log at SEED,
+# printing the paths of its CSV, trace and log
+_CONTENDED_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from voipsim.runner import run_scenario
+from voipsim.scenario import parse_scenario_text, validate
+out = run_scenario(validate(parse_scenario_text(sys.argv[2])), seed=%d,
+                   out_dir=sys.argv[3], trace=True, session_log=True)
+print(out.csv_path, out.trace_path, out.session_log_path)
+""" % SEED
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """The same three digests from a fresh interpreter with another string
+    hash seed: no output byte may follow set or dict order of str keys."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _CONTENDED_RUN, SRC, CONTENDED_INI, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONHASHSEED="12345"))
+    assert proc.returncode == 0, proc.stderr
+    csv_path, trace_path, log_path = proc.stdout.split()
+    assert _sha256(csv_path) == CONTENDED_SHA256
+    assert _sha256(trace_path) == CONTENDED_TRACE_SHA256
+    assert _sha256(log_path) == CONTENDED_SESSIONS_SHA256
 
 
 # emit_scenario of each builtin; the spec digest in every manifest hashes it

@@ -16,6 +16,7 @@ import pytest
 
 import voipsim
 from voipsim.metrics import CSV_COLUMNS, QoSBucket, write_metrics_csv
+from voipsim.netmodels import Fabric
 from voipsim.runner import (
     IncompatibleRuns,
     compare_runs,
@@ -91,6 +92,47 @@ def test_packet_log_stays_compact(monkeypatch):
     out = run_scenario(short_spec(run_s=120, warm_s=0, seed=1))
     assert out.stats.packets_generated > 5_000
     assert held["bytes"] / out.stats.packets_generated < 20
+
+
+def _peak_bytes(**outputs):
+    """Peak bytes allocated by run_scenario of a 120 s wifi-wifi run (seed 1)."""
+    tracemalloc.start()
+    try:
+        out = run_scenario(short_spec(run_s=120, warm_s=0, seed=1), **outputs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_traced_run_holds_no_trace_in_memory(tmp_path):
+    """The trace and the session log go to their files as the run makes them,
+    so a traced run peaks no higher than an untraced one, give or take the
+    file buffers; held in memory, the trace costs about 1 KB per packet."""
+    run_scenario(short_spec(run_s=1, warm_s=0), out_dir=str(tmp_path / "warm"))
+    _, plain = _peak_bytes(out_dir=str(tmp_path / "plain"))
+    out, traced = _peak_bytes(out_dir=str(tmp_path / "traced"), trace=True,
+                              session_log=True)
+    assert out.stats.packets_generated > 5_000
+    assert os.path.getsize(out.trace_path) > 100 * out.stats.packets_generated
+    assert traced - plain < 1_000_000
+
+
+def test_conservation_fails_when_a_packet_is_delivered_twice(monkeypatch):
+    """In flight is counted from the receive logs after the run, not kept
+    beside the delivered counter, so counting one delivery twice shows."""
+    media_done = Fabric._media_done
+    doubled = []
+
+    def deliver_first_twice(self, packet, t_recv):
+        media_done(self, packet, t_recv)
+        if not doubled:
+            doubled.append(packet)
+            media_done(self, packet, t_recv)
+
+    monkeypatch.setattr(Fabric, "_media_done", deliver_first_twice)
+    stats = run_scenario(short_spec()).stats
+    assert doubled
+    assert not stats.conservation_holds()
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -210,17 +252,19 @@ def test_partial_manifest_on_fault(tmp_path, monkeypatch):
 
     class Faulty(runner_mod.Simulator):
         def run_until(self, t_end):
+            super().run_until(t_end)  # writes trace rows and log lines
             raise EventHandlerFault("boom", RunStats(events_processed=3))
 
     monkeypatch.setattr(runner_mod, "Simulator", Faulty)
     spec = short_spec()
     with pytest.raises(EventHandlerFault):
-        run_scenario(spec, out_dir=str(tmp_path))
+        run_scenario(spec, out_dir=str(tmp_path), trace=True, session_log=True)
     manifest = json.loads(read_file(tmp_path / "wifi-wifi-seed7.manifest.json"))
     assert manifest["partial"] is True
     assert manifest["stats"]["events_processed"] == 3
     assert manifest["files"] == {}
-    assert not list(tmp_path.glob("*.csv"))
+    # no CSV, trace or log, and no temp file of one
+    assert os.listdir(tmp_path) == ["wifi-wifi-seed7.manifest.json"]
 
 
 # -- compare ------------------------------------------------------------------

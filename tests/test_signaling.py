@@ -69,9 +69,12 @@ class ScriptedFabric(ZeroFabric):
         self.sim.schedule_in(self.delays.get(item.kind, 0), self._arrive, (item, on_end))
 
 
-def make_layer(sim, fabric, **kwargs):
+def make_layer(sim, fabric, log=None, **kwargs):
+    """A layer over fabric that logs its transitions into the list log (by
+    default one it throws away)."""
     kwargs.setdefault("answer_delay_us", 0)
-    layer = SessionLayer(sim, fabric, CallSpec(**kwargs), session_log=[])
+    log = [] if log is None else log
+    layer = SessionLayer(sim, fabric, CallSpec(**kwargs), session_log=log.append)
     layer.register_all(["a", "b", "c"])
     return layer
 
@@ -121,14 +124,16 @@ def test_answer_delay_shifts_establishment():
 
 def test_full_lifecycle_transitions_logged():
     sim = Simulator()
-    layer = make_layer(sim, ZeroFabric(sim))
+    log = []
+    layer = make_layer(sim, ZeroFabric(sim), log)
     session = layer.initiate("a", "b", on_established=lambda s: None,
                              on_closed=lambda s: None)
     sim.run_until(seconds(1))
     layer.teardown(session)
     sim.run_until(seconds(2))
     assert session.state == CLOSED
-    states = [line.split()[2] for line in layer.session_log]
+    assert all(line.endswith("\n") for line in log)
+    states = [line.split()[2] for line in log]
     assert states == [
         "Idle→Inviting",
         "Inviting→Ringing",
@@ -136,7 +141,7 @@ def test_full_lifecycle_transitions_logged():
         "Established→Terminating",
         "Terminating→Closed",
     ]
-    for line in layer.session_log:
+    for line in log:
         ticks, sid, _move = line.split()
         assert ticks.isdigit() and sid == str(session.session_id)
     # BYE and its 200 on top of the setup quadruple
@@ -151,7 +156,8 @@ def test_late_180_after_200_is_ignored(delays, state_at_late_180):
     # answer at once while the 180 is held back: the caller sees the 200
     # first, and the 180 then arrives after the final response
     sim = Simulator()
-    layer = make_layer(sim, ScriptedFabric(sim, delays))
+    log = []
+    layer = make_layer(sim, ScriptedFabric(sim, delays), log)
     session = layer.initiate("a", "b", on_established=lambda s: None,
                              on_closed=lambda s: None)
     sim.run_until(9_999)
@@ -161,7 +167,7 @@ def test_late_180_after_200_is_ignored(delays, state_at_late_180):
     assert session.state == ESTABLISHED
     assert sim.stats.calls_failed_setup == 0
     assert sim.stats.sip_messages_delivered == 4
-    assert [line.split()[2] for line in layer.session_log] == [
+    assert [line.split()[2] for line in log] == [
         "Idle→Inviting", "Inviting→Ringing", "Ringing→Established"]
 
 
