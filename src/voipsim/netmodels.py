@@ -169,6 +169,14 @@ class WifiCell:
     The access point contends like any station; downlink traffic queues there.
     A successful exchange occupies the medium for data airtime + SIFS + ACK,
     and the packet egresses the cell when the exchange completes.
+
+    A round is one scheduled event: it fires when the smallest backoff runs
+    out.  Nearly every round has one contender, so its steps run in one
+    frame each: _enqueue arms the round itself when none is pending, and
+    _round_fire serves a single winner (pop the head, hold the medium, reset
+    cw and retries, redraw or retire it, arm the next round) in its own
+    body.  Only a join in the middle of a round (_join_round) and a
+    collision take further calls.
     """
 
     def __init__(self, sim: Simulator, name: str, stations: list[str],
@@ -179,6 +187,11 @@ class WifiCell:
         self.stations = list(stations)
         self.ap_id = f"{name}-ap"
         self.params = params
+        # the fields every round reads, looked up once
+        self._slot_us = params.slot_us
+        self._difs_us = params.difs_us
+        self._cw_min = params.cw_min
+        self._queue_cap = params.queue_cap
         self.fabric = None
         # backoff draws: _below(cw + 1) is randint(0, cw) on the same stream
         self._below = uniform_below(sim.rng.stream(f"wifi-backoff:{name}"))
@@ -211,54 +224,54 @@ class WifiCell:
     # -- DCF mechanics --------------------------------------------------
 
     def _enqueue(self, env: Envelope, c: _Contender) -> None:
-        if len(c.queue) >= self.params.queue_cap:
+        if len(c.queue) >= self._queue_cap:
             self.fabric.segment_drop(env, DROP_QUEUE_OVERFLOW)
             return
         c.queue.append(env)
         if c.backoff is None:
-            c.cw = self.params.cw_min
+            c.cw = cw = self._cw_min
             c.retries = 0
-            c.backoff = self._below(c.cw + 1)
-            self._join_round(c)
+            c.backoff = backoff = self._below(cw + 1)
+            if self._round_event is not None:
+                self._join_round(c)
+                return
+            # no round pending means nobody else is contending: start one
+            # after DIFS, which lies ahead of now
+            self._active.append(c)
+            sim = self.sim
+            busy_until = self._busy_until
+            t0 = (busy_until if busy_until > sim.now else sim.now) + self._difs_us
+            self._round_t0 = t0
+            self._round_event = sim.schedule(t0 + backoff * self._slot_us, self._round_fire,
+                                             kind="wifi-round")
 
     def _join_round(self, newcomer: _Contender) -> None:
-        """A newly armed contender: with no round pending, start one after
-        DIFS; mid-round, fold elapsed slots into everyone's counter, keep the
-        slot phase, and recompute the next expiry."""
+        """A newly armed contender mid-round: fold elapsed slots into
+        everyone's counter, keep the slot phase, and recompute the next
+        expiry."""
+        sim = self.sim
+        sim.cancel(self._round_event)
         active = self._active
-        if self._round_event is None:
-            # no round pending means nobody else is contending
-            active.append(newcomer)
-            now = self.sim.now
-            idle_from = self._busy_until if self._busy_until > now else now
-            self._arm_round(idle_from + self.params.difs_us, newcomer.backoff)
-            return
-        self.sim.cancel(self._round_event)
         insort(active, newcomer, key=_by_rank)
         t0 = self._round_t0
-        elapsed = (self.sim.now - t0) // self.params.slot_us
+        slot_us = self._slot_us
+        elapsed = (sim.now - t0) // slot_us
         if elapsed > 0:
             # deviation: a newcomer's fresh draw also loses the slots elapsed before it arrived
             for c in active:
                 if c.backoff >= elapsed:
                     c.backoff -= elapsed
-            t0 += elapsed * self.params.slot_us
-        self._arm_round(t0, min(map(_backoff, active)))
-
-    def _arm_round(self, t0: int, min_b: int) -> None:
+            t0 += elapsed * slot_us
         self._round_t0 = t0
-        now = self.sim.now
-        fire_at = t0 + min_b * self.params.slot_us
-        if fire_at < now:
-            fire_at = now
-        self._round_event = self.sim.schedule(fire_at, self._round_fire, kind="wifi-round")
+        fire_at = t0 + min(map(_backoff, active)) * slot_us
+        self._round_event = sim.schedule(fire_at if fire_at > sim.now else sim.now,
+                                         self._round_fire, kind="wifi-round")
 
     def _round_fire(self, _arg) -> None:
         self._round_event = None
-        p = self.params
         active = self._active
         if len(active) == 1:
-            winners = [active[0]]  # a lone contender wins whatever its count
+            w = active[0]  # a lone contender wins whatever its count
         else:
             min_b = min(map(_backoff, active))
             winners = []
@@ -267,19 +280,27 @@ class WifiCell:
                     winners.append(c)
                 else:
                     c.backoff -= min_b  # frozen residual carries to the next round
+            w = winners[0] if len(winners) == 1 else None
         now = self.sim.now
-        if len(winners) == 1:
-            w = winners[0]
-            env = w.queue.popleft()
-            exchange = self.exchange_us(env.size_bytes)
+        if w is not None:
+            queue = w.queue
+            env = queue.popleft()
+            exchange = self._exchange.get(env.size_bytes)
+            if exchange is None:
+                exchange = self.exchange_us(env.size_bytes)
             self._busy_until = now + exchange
             self.fabric.hold(env, exchange, "wifi-deliver")
-            w.cw = p.cw_min
+            w.cw = cw = self._cw_min
             w.retries = 0
-            self._redraw(w)
+            if queue:
+                w.backoff = self._below(cw + 1)
+            else:
+                w.backoff = None
+                active.remove(w)
         else:
             # simultaneous expiry: all transmit, none gets an ACK; the medium
             # stays busy for the longest exchange
+            p = self.params
             longest = max(self.exchange_us(c.queue[0].size_bytes) for c in winners)
             self._busy_until = now + longest
             for c in winners:
@@ -293,8 +314,12 @@ class WifiCell:
                     c.cw = min(2 * c.cw + 1, p.cw_max)
                 self._redraw(c)
         if active:
-            self._arm_round(self._busy_until + p.difs_us,
-                            min(map(_backoff, active)))
+            # the medium is busy past now, so DIFS after it lies ahead
+            t0 = self._busy_until + self._difs_us
+            self._round_t0 = t0
+            self._round_event = self.sim.schedule(
+                t0 + min(map(_backoff, active)) * self._slot_us, self._round_fire,
+                kind="wifi-round")
 
     def _redraw(self, c: _Contender) -> None:
         """Draw a backoff for c's next head frame, or retire c if it has none."""
@@ -378,8 +403,8 @@ class UmtsCell:
         if p.bler == 0.0 or self._rng.random() >= p.bler:
             self.fabric.segment_done(env)
         elif attempt <= p.max_rlc_retx:
-            self.sim.schedule_in(p.tti_us, self._attempt_end,
-                                 (bearer, env, attempt + 1), kind="umts-air")
+            self.sim.schedule(self.sim.now + p.tti_us, self._attempt_end,
+                              (bearer, env, attempt + 1), kind="umts-air")
             return
         else:
             self.fabric.segment_drop(env, DROP_BLER_RETX)
@@ -427,7 +452,10 @@ class Fabric:
     WiFi contender, a UMTS bearer; None for the cloud), and entering the
     step calls transmit_fn(envelope, node).  WiFi and UMTS endpoints
     contribute their access legs; distinct subnets are always joined by the
-    cloud.  The proxy endpoint lives at the cloud edge.
+    cloud.  The proxy endpoint lives at the cloud edge.  One method,
+    _advance, moves an envelope to a hop: past the last step it delivers,
+    otherwise it enters the step.  send, segment_done and the end of a
+    wait all go through it.
 
     A segment whose label was declared with fix() is fixed: fixed is its
     (delay_us, event kind), and the fabric never calls its transmit_fn.  A run
@@ -437,10 +465,14 @@ class Fabric:
     run too.  A segment that draws is never folded into the one before it, so
     every random draw keeps its simulated instant and order.  A folded event
     is queued when its run starts, not when its last segment starts, so at an
-    equal fire time it can sort before an event scheduled in between.  Only an
-    event scheduled further ahead than that last segment lasts can do so; the
-    access models schedule at most about 21 ms ahead, less than a pipe or the
-    cloud, so they keep the order of the unfolded chain.
+    equal fire time it can sort before an event scheduled in between.
+    tests/test_properties.py runs random validated scenarios against a
+    fabric that gives every segment its own event: when every fixed segment
+    lasts at least 1 us, the metrics CSV, the session log, the run's counters
+    and the trace rows of every finished packet are the same.  A fixed run
+    of 0 us is the exception: the packet then reaches its next segment after
+    fewer rounds of same-instant events than unfolded, ahead of other events
+    of that instant, and a pinned scenario shows the output change.
 
     A media packet's last wait needs no event.  When a hold (with its fixed
     run) ends the path of an envelope whose on_end is the media sink, and it
@@ -533,12 +565,21 @@ class Fabric:
     def send(self, item, size_bytes: int, src: str, dst: str, on_end, on_fail) -> None:
         pid = self._next_pid
         self._next_pid = pid + 1
-        env = Envelope(item, size_bytes, pid, self._path(src, dst), on_end, on_fail)
-        self._enter(env)
+        path = self._paths.get((src, dst))
+        if path is None:
+            path = self._path(src, dst)
+        self._advance(Envelope(item, size_bytes, pid, path, on_end, on_fail), 0)
 
-    def _enter(self, env: Envelope) -> None:
+    def _advance(self, env: Envelope, hop: int) -> None:
+        """Move env to hop now: past the last step it is delivered, otherwise
+        it enters that step, which transmits it or holds its fixed delay."""
+        env.hop = hop
+        path = env.path
+        if hop == len(path):
+            env.on_end(env.item, self.sim.now)
+            return
         env.hop_ingress = self.sim.now
-        _label, fn, node, fixed, _tail_us, _next_hop = env.path[env.hop]
+        _label, fn, node, fixed, _tail_us, _next_hop = path[hop]
         if fixed is None:
             fn(env, node)
         else:
@@ -564,7 +605,7 @@ class Fabric:
         step = env.path[env.hop]
         if self.trace_row is not None:
             self._trace_run(env, step, self.sim.now)
-        self._resume(env, step[5])
+        self._advance(env, step[5])
 
     def _trace_run(self, env: Envelope, step: tuple, t_done: int) -> None:
         """Trace rows of the current segment and the fixed run after it, which
@@ -580,14 +621,7 @@ class Fabric:
         """The current segment ended now, with no wait after it."""
         if self.trace_row is not None:
             self.trace_row(env.pid, env.path[env.hop][0], env.hop_ingress, self.sim.now, "")
-        self._resume(env, env.hop + 1)
-
-    def _resume(self, env: Envelope, hop: int) -> None:
-        env.hop = hop
-        if hop == len(env.path):
-            env.on_end(env.item, self.sim.now)
-        else:
-            self._enter(env)
+        self._advance(env, env.hop + 1)
 
     def segment_drop(self, env: Envelope, reason: str) -> None:
         if self.trace_row is not None:
@@ -599,12 +633,12 @@ class Fabric:
     def send_media(self, stream, seq: int) -> None:
         """Carry packet seq of a media stream; the envelope's item is the
         (stream, seq) pair."""
-        self.send((stream, seq), stream.codec.packet_size_bytes, stream.src, stream.dst,
+        self.send((stream, seq), stream.size_bytes, stream.src, stream.dst,
                   self._media_sink, self._media_fail)
 
     def _media_done(self, packet: tuple, t_recv: int) -> None:
         stream, seq = packet
-        stream.mark_delivered(seq, t_recv)
+        stream.recv[seq] = t_recv  # MediaStream.mark_delivered, without its frame
         self.sim.stats.packets_delivered += 1
 
     def _media_fail(self, packet: tuple, reason: str) -> None:

@@ -20,7 +20,8 @@ from .traffic import CODECS, DIR_FORWARD, DIR_REVERSE, CallScheduler, MediaStrea
 
 
 class IncompatibleRuns(SimError):
-    """compare inputs disagree on the reporting window grid."""
+    """compare inputs are not well-formed metrics CSVs, or disagree on the
+    reporting window grid."""
 
 
 @dataclass
@@ -172,9 +173,14 @@ def _load_metrics_csv(path: str) -> tuple[list[str], list[list[str]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        rows = list(reader)
-    if header != list(CSV_COLUMNS):
-        raise IncompatibleRuns(f"{path}: not a metrics CSV (bad header)")
+        if header != list(CSV_COLUMNS):
+            raise IncompatibleRuns(f"{path}: not a metrics CSV (bad header)")
+        rows = []
+        for row in reader:
+            if len(row) != len(CSV_COLUMNS):
+                raise IncompatibleRuns(f"{path}: line {reader.line_num} has {len(row)} "
+                                       f"fields, not {len(CSV_COLUMNS)}")
+            rows.append(row)
     if not rows:
         raise IncompatibleRuns(f"{path}: no data rows")
     return header, rows

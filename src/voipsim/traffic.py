@@ -110,12 +110,13 @@ class MediaStream:
     DROPPED, or PENDING.
     """
 
-    __slots__ = ("src", "dst", "codec", "t0", "n_packets", "recv")
+    __slots__ = ("src", "dst", "codec", "size_bytes", "t0", "n_packets", "recv")
 
     def __init__(self, src: str, dst: str, codec: CodecProfile, t0: int, n_packets: int):
         self.src = src
         self.dst = dst
         self.codec = codec
+        self.size_bytes = codec.packet_size_bytes  # of every packet, read once
         self.t0 = t0
         self.n_packets = n_packets
         self.recv = array("q")
@@ -226,10 +227,11 @@ class CallScheduler:
 
     def _emit(self, arg) -> None:
         streams, seq = arg
+        sim = self.sim
         if seq + 1 < streams[0].n_packets:
-            self.sim.schedule_in(self.codec.frame_interval_us, self._emit,
-                                 (streams, seq + 1), kind="media-emit")
-        stats = self.sim.stats
+            sim.schedule(sim.now + self.codec.frame_interval_us, self._emit,
+                         (streams, seq + 1), kind="media-emit")
+        stats = sim.stats
         for stream in streams:  # forward, then reverse
             stream.recv.append(PENDING)
             stats.packets_generated += 1

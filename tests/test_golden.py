@@ -16,6 +16,7 @@ import pytest
 
 from voipsim.runner import run_scenario
 from voipsim.scenario import builtin_scenario, emit_scenario, parse_scenario_text, validate
+from voipsim.simcore import Simulator
 
 # the 33-node WiFi cell of this signaling-heavy load is the one that collides
 CALL_STORM_INI = """\
@@ -83,6 +84,39 @@ def test_metrics_csv_matches_golden_digest(name, tmp_path):
     out = run_scenario(_spec(name), seed=SEED, out_dir=str(tmp_path))
     assert _sha256(out.csv_path) == GOLDEN_SHA256[name]
     assert out.stats.events_processed == GOLDEN_EVENTS[name]
+
+
+# Python frames a short wifi-wifi run calls inside run_until, per voice
+# packet: the same on every run of one interpreter (3.10 to 3.13 agree), so a
+# change that adds host work per packet shows here.  Such a change raises
+# the bound and says why in CHANGES.md, as it would for a digest.
+FRAMES_PER_PACKET = 19.07
+
+
+def test_frames_per_packet_stay_within_bound(monkeypatch):
+    spec = validate(dataclasses.replace(builtin_scenario("wifi-wifi"),
+                                        run_length_us=60_000_000, warm_up_us=0))
+    frames = 0
+
+    def count(_frame, event, _arg):
+        nonlocal frames
+        if event == "call":
+            frames += 1
+
+    real = Simulator.run_until
+
+    def counted(sim, t_end):
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            return real(sim, t_end)
+        finally:
+            sys.setprofile(previous)
+
+    monkeypatch.setattr(Simulator, "run_until", counted)
+    stats = run_scenario(spec, seed=SEED).stats
+    assert stats.packets_generated > 0
+    assert frames / stats.packets_generated <= FRAMES_PER_PACKET
 
 
 # Two WiFi cells hand packets to one jittery, lossy cloud: its shared draws

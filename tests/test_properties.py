@@ -5,16 +5,24 @@ Specs are drawn for both subnet kinds with at most four stations and runs of
 at most a minute.  One to three keys per spec take an edge value (zero or
 negative) instead of an ordinary one; validation must either reject the spec
 or the run must finish without a handler fault and with every packet
-accounted for.
+accounted for.  The same specs, at a third of their length, check the
+fabric's folded events against an unfolded reference.
 
 Config texts are drawn over every key of every section, with ordinary
 values, non-finite and overflowing numbers, huge integers, empty strings,
 unknown keys and repeated keys; they are only parsed, never run.
 """
 
+import dataclasses
+import tempfile
+from unittest import mock
+
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from voipsim import runner
+from voipsim.netmodels import Fabric
 from voipsim.runner import run_scenario
 from voipsim.scenario import (
     _KEYS,
@@ -130,6 +138,134 @@ def test_validated_specs_run_and_conserve_packets(spec):
     assume(_valid(spec))
     stats = run_scenario(spec).stats
     assert stats.conservation_holds()
+
+
+# -- the folded fabric against an unfolded reference ---------------------------
+
+class UnfoldedFabric(Fabric):
+    """Fabric with nothing folded: every segment, fixed ones too, ends in an
+    event of its own, and every wait is scheduled.  path_len[pid] is the
+    number of segments packet pid has to cross."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.path_len = []
+
+    def _compile(self, segments):
+        return [(label, fn, node, self._fixed.get(label), 0, hop + 1)
+                for hop, (label, fn, node) in enumerate(segments)]
+
+    def hold(self, env, delay_us, kind):
+        self.sim.schedule(self.sim.now + delay_us, self._run_done, env, kind=kind)
+
+    def send(self, item, size_bytes, src, dst, on_end, on_fail):
+        self.path_len.append(len(self._path(src, dst)))
+        super().send(item, size_bytes, src, dst, on_end, on_fail)
+
+
+def _rows_by_packet(path):
+    rows = {}
+    with open(path, encoding="utf-8") as fh:
+        next(fh)
+        for line in fh:
+            rows.setdefault(int(line.split(",", 1)[0]), []).append(line)
+    return rows
+
+
+def _traced_run(spec, out_dir):
+    out = run_scenario(spec, out_dir=out_dir, trace=True, session_log=True)
+    with open(out.csv_path, encoding="utf-8") as fh, \
+            open(out.session_log_path, encoding="utf-8") as log:
+        outputs = (fh.read(), log.read())
+    stats = dataclasses.asdict(out.stats)
+    del stats["events_processed"]  # unfolded, every segment costs an event
+    return outputs, stats, _rows_by_packet(out.trace_path)
+
+
+def assert_folding_changes_no_output(spec):
+    """The metrics CSV, the session log, the run's counters and the trace
+    rows of every packet that finished are those of an UnfoldedFabric run.
+    A packet still in flight at the end has, folded, a prefix of its
+    unfolded rows: a fixed run's rows are written when the whole run ends."""
+    made = []
+
+    def unfolded_fabric(*args):
+        made.append(UnfoldedFabric(*args))
+        return made[-1]
+
+    with tempfile.TemporaryDirectory() as out_dir:
+        folded = _traced_run(spec, out_dir)
+        with mock.patch.object(runner, "Fabric", unfolded_fabric):
+            unfolded = _traced_run(spec, out_dir)
+    assert folded[:2] == unfolded[:2]
+    path_len = made[0].path_len
+    folded_rows, unfolded_rows = folded[2], unfolded[2]
+    assert folded_rows.keys() <= unfolded_rows.keys()
+    for pid, rows in unfolded_rows.items():
+        finished = rows[-1].rstrip("\n").split(",")[-1] != "" or len(rows) == path_len[pid]
+        got = folded_rows.get(pid, [])
+        assert got == (rows if finished else rows[:len(got)]), pid
+
+
+def _fixed_delays(spec):
+    """Delays of the segments the fabric carries itself: each UMTS pipe, and
+    the cloud when it neither jitters nor loses."""
+    delays = [sub.params.pipe_us for sub in spec.subnets if isinstance(sub.params, UmtsParams)]
+    if spec.cloud.jitter_half_width_us == 0 and spec.cloud.loss_prob == 0:
+        delays.append(spec.cloud.base_delay_us)
+    return delays
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(scenario_specs())
+def test_folded_fabric_matches_an_unfolded_reference(spec):
+    spec = dataclasses.replace(spec, run_length_us=spec.run_length_us // 3)
+    assume(_valid(spec))
+    # a fixed segment of 0 us is the known exception, pinned below
+    assume(min(_fixed_delays(spec), default=1) > 0)
+    assert_folding_changes_no_output(spec)
+
+
+# UMTS pipes and a cloud of 0 us: a UMTS-to-WiFi packet leaves the air link
+# on the TTI grid and reaches the access point at that same instant.
+# Unfolded, that takes three more rounds of same-instant events, so other
+# events of that instant run before its enqueue; folded, only one.  Seed 28
+# is the first seed at which the order shows in the output: one packet of
+# this run waits behind another at the access point in one fabric only.
+ZERO_FIXED_INI = """\
+[scenario]
+name = zero-fixed
+run_length_s = 10
+warm_up_s = 0
+master_seed = 28
+
+[subnet.left]
+kind = wifi
+stations = 4
+
+[subnet.right]
+kind = umts
+stations = 4
+nodeb_rnc_delay_ms = 0
+rnc_proc_delay_ms = 0
+cn_delay_ms = 0
+air_interleave_delay_ms = 0
+
+[cloud]
+base_delay_ms = 0
+jitter_half_width_ms = 0
+
+[calls]
+inter_arrival_s = 1
+duration_mean_s = 10
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a fixed run of 0 us reorders events of one instant")
+def test_a_zero_length_fixed_run_matches_the_unfolded_reference():
+    assert_folding_changes_no_output(validate(parse_scenario_text(ZERO_FIXED_INI)))
 
 
 # -- config text --------------------------------------------------------------

@@ -321,6 +321,18 @@ def test_compare_rejects_non_metrics_file(tmp_path):
         compare_runs([str(bad)], "overlaid", io.StringIO())
 
 
+def test_compare_rejects_a_short_row(tmp_path, capsys):
+    import voipsim.cli as cli_mod
+
+    short = tmp_path / "short.csv"
+    short.write_text(",".join(CSV_COLUMNS) + "\nx,1,caller_to_callee\n")
+    with pytest.raises(IncompatibleRuns, match=r"short\.csv: line 2 has 3 fields"):
+        compare_runs([str(short)], "overlaid", io.StringIO())
+    # a config error, not a traceback
+    assert cli_mod.main(["compare", "--mode", "overlaid", str(short)]) == cli_mod.EXIT_CONFIG
+    assert "line 2 has 3 fields" in capsys.readouterr().err
+
+
 def test_compare_rejects_empty_table(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text(",".join(CSV_COLUMNS) + "\n")
