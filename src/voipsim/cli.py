@@ -130,10 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, IncompatibleRuns, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except EventHandlerFault as exc:
-        print(f"runtime fault: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (EventHandlerFault, OSError) as exc:
         print(f"runtime fault: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

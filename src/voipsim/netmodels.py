@@ -331,11 +331,15 @@ class WifiCell:
 
 
 class _Bearer:
-    __slots__ = ("items", "busy")
+    """One UE's air link one way: the packet on the air (None when idle),
+    its attempt number, and the FIFO behind it."""
+
+    __slots__ = ("items", "env", "attempt")
 
     def __init__(self):
         self.items: deque = deque()
-        self.busy = False
+        self.env: Envelope | None = None
+        self.attempt = 0
 
 
 class UmtsCell:
@@ -343,9 +347,13 @@ class UmtsCell:
     transmission with BLER retransmissions, then a fixed UTRAN/CN delay chain.
 
     One packet occupies one TTI per attempt; a failed attempt retransmits in
-    the next TTI up to max_rlc_retx times, then the packet drops.  The fixed
-    chain (interleaving, Iub, RNC, CN) is one segment per direction that the
-    fabric carries as a fixed delay of pipe_us.
+    the next TTI up to max_rlc_retx times, then the packet drops.  Each
+    attempt is one event on its bearer, which holds the packet and attempt.
+    An idle bearer's first attempt ends a TTI after the next TTI boundary;
+    attempts end on the TTI grid, so a queued packet's first attempt ends a
+    TTI after the last one before it.  The fixed chain (interleaving, Iub,
+    RNC, CN) is one segment per direction that the fabric carries as a fixed
+    delay of pipe_us.
     """
 
     def __init__(self, sim: Simulator, name: str, ues: list[str],
@@ -379,39 +387,37 @@ class UmtsCell:
             (f"umts-air-down:{self.name}", self._air_enqueue, self._down[ue]),
         ]
 
-    def next_tti_boundary(self, t: int) -> int:
-        tti = self.params.tti_us
-        return -(-t // tti) * tti
-
     def _air_enqueue(self, env: Envelope, bearer: _Bearer) -> None:
-        if bearer.busy or bearer.items:
+        if bearer.env is not None:
             if len(bearer.items) >= self.params.queue_cap:
                 self.fabric.segment_drop(env, DROP_QUEUE_OVERFLOW)
                 return
             bearer.items.append(env)
-        else:
-            self._air_start(bearer, env)
+            return
+        bearer.env = env
+        bearer.attempt = 1
+        tti = self.params.tti_us
+        self.sim.schedule(-(-self.sim.now // tti) * tti + tti, self._attempt_end, bearer,
+                          kind="umts-air")
 
-    def _air_start(self, bearer: _Bearer, env: Envelope) -> None:
-        bearer.busy = True
-        first_end = self.next_tti_boundary(self.sim.now) + self.params.tti_us
-        self.sim.schedule(first_end, self._attempt_end, (bearer, env, 1), kind="umts-air")
-
-    def _attempt_end(self, arg) -> None:
-        bearer, env, attempt = arg
+    def _attempt_end(self, bearer: _Bearer) -> None:
         p = self.params
         if p.bler == 0.0 or self._rng.random() >= p.bler:
-            self.fabric.segment_done(env)
-        elif attempt <= p.max_rlc_retx:
-            self.sim.schedule(self.sim.now + p.tti_us, self._attempt_end,
-                              (bearer, env, attempt + 1), kind="umts-air")
+            self.fabric.segment_done(bearer.env)
+        elif bearer.attempt <= p.max_rlc_retx:
+            bearer.attempt += 1
+            self.sim.schedule(self.sim.now + p.tti_us, self._attempt_end, bearer,
+                              kind="umts-air")
             return
         else:
-            self.fabric.segment_drop(env, DROP_BLER_RETX)
+            self.fabric.segment_drop(bearer.env, DROP_BLER_RETX)
         if bearer.items:
-            self._air_start(bearer, bearer.items.popleft())
+            bearer.env = bearer.items.popleft()
+            bearer.attempt = 1
+            self.sim.schedule(self.sim.now + p.tti_us, self._attempt_end, bearer,
+                              kind="umts-air")
         else:
-            bearer.busy = False
+            bearer.env = None
 
 
 class IpCloud:
@@ -431,6 +437,9 @@ class IpCloud:
 
     def bind(self, fabric: "Fabric") -> None:
         self.fabric = fabric
+        p = self.params
+        if p.jitter_half_width_us == 0 and p.loss_prob == 0:
+            fabric.fix("cloud", p.base_delay_us, "cloud-deliver")
 
     def forward(self, env: Envelope, _node) -> None:
         p = self.params
@@ -457,7 +466,8 @@ class Fabric:
     otherwise it enters the step.  send, segment_done and the end of a
     wait all go through it.
 
-    A segment whose label was declared with fix() is fixed: fixed is its
+    A segment whose label its model declared with fix() when bound (a UMTS
+    pipe, a cloud that neither jitters nor loses) is fixed: fixed is its
     (delay_us, event kind), and the fabric never calls its transmit_fn.  A run
     of consecutive fixed segments costs one scheduled event.  tail_us is the
     delay of the fixed run right after a step and next_hop the step that
@@ -469,10 +479,10 @@ class Fabric:
     tests/test_properties.py runs random validated scenarios against a
     fabric that gives every segment its own event: when every fixed segment
     lasts at least 1 us, the metrics CSV, the session log, the run's counters
-    and the trace rows of every finished packet are the same.  A fixed run
-    of 0 us is the exception: the packet then reaches its next segment after
-    fewer rounds of same-instant events than unfolded, ahead of other events
-    of that instant, and a pinned scenario shows the output change.
+    and the trace rows of every finished packet are the same.  A fixed
+    segment of 0 us is the exception: the packet then reaches its next
+    segment after fewer rounds of same-instant events than unfolded, ahead
+    of other events of that instant, and pinned scenarios show the change.
 
     A media packet's last wait needs no event.  When a hold (with its fixed
     run) ends the path of an envelope whose on_end is the media sink, and it
@@ -500,9 +510,6 @@ class Fabric:
         # media from SIP by identity
         self._media_sink = self._media_done
         cloud.bind(self)
-        p = cloud.params
-        if p.jitter_half_width_us == 0 and p.loss_prob == 0:
-            self.fix("cloud", p.base_delay_us, "cloud-deliver")
 
     def fix(self, label: str, delay_us: int, kind: str) -> None:
         """Declare segment label a constant delay that draws nothing; kind

@@ -41,10 +41,6 @@ class CalleeUnregistered(SipError):
     pass
 
 
-class ProtocolViolation(SipError):
-    """Message illegal in the session's current state."""
-
-
 class SipMessage:
     __slots__ = ("kind", "session", "dst")
 
@@ -106,8 +102,9 @@ class SessionLayer:
         session.on_closed = on_closed
         self.sessions.append(session)
         self._transition(session, INVITING)
-        session._timeout_event = self.sim.schedule_in(
-            self.spec.invite_timeout_us, self._on_timeout, session, kind="sip-timeout")
+        session._timeout_event = self.sim.schedule(
+            self.sim.now + self.spec.invite_timeout_us, self._on_timeout, session,
+            kind="sip-timeout")
         self._send(session, INVITE, caller, callee)
         return session
 
@@ -119,8 +116,9 @@ class SessionLayer:
         self._transition(session, TERMINATING)
         # same liveness escape as INVITE: a lost BYE or its 200 must not pin
         # the pair busy forever
-        session._timeout_event = self.sim.schedule_in(
-            self.spec.invite_timeout_us, self._on_timeout, session, kind="sip-timeout")
+        session._timeout_event = self.sim.schedule(
+            self.sim.now + self.spec.invite_timeout_us, self._on_timeout, session,
+            kind="sip-timeout")
         self._send(session, BYE, session.caller, session.callee)
 
     # -- transport -------------------------------------------------------
@@ -132,7 +130,7 @@ class SessionLayer:
                          self._at_proxy, self._msg_lost)
 
     def _at_proxy(self, msg: SipMessage, _t: int) -> None:
-        self.sim.schedule_in(PROXY_PROC_US, self._relay, msg, kind="sip-relay")
+        self.sim.schedule(self.sim.now + PROXY_PROC_US, self._relay, msg, kind="sip-relay")
 
     def _relay(self, msg: SipMessage) -> None:
         self.fabric.send(msg, SIP_MESSAGE_BYTES, Fabric.PROXY, msg.dst,
@@ -154,8 +152,9 @@ class SessionLayer:
                 self._violation(session)
                 return
             self._send(session, RINGING_180, session.callee, session.caller)
-            session._answer_event = self.sim.schedule_in(
-                self.spec.answer_delay_us, self._on_answer, session, kind="sip-answer")
+            session._answer_event = self.sim.schedule(
+                self.sim.now + self.spec.answer_delay_us, self._on_answer, session,
+                kind="sip-answer")
         elif kind == RINGING_180:
             if session.answered:
                 return  # provisional after the final response: discarded (RFC 3261)

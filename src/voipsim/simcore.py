@@ -200,9 +200,6 @@ class Simulator:
             same.append(entry)
         return entry
 
-    def schedule_in(self, delay: int, fn, arg=None, target: str = "", kind: str = "") -> list:
-        return self.schedule(self.now + delay, fn, arg, target, kind)
-
     def cancel(self, entry: list) -> bool:
         """Make a pending event inert; False if it already fired or was cancelled."""
         if entry[2] is None:

@@ -184,7 +184,7 @@ class CallScheduler:
 
     def _schedule_next_arrival(self) -> None:
         gap = exp_sample(self._rng, self.spec.inter_arrival_us)
-        self.sim.schedule_in(gap, self._on_arrival, kind="call-arrival")
+        self.sim.schedule(self.sim.now + gap, self._on_arrival, kind="call-arrival")
 
     def _on_arrival(self, _arg) -> None:
         self._schedule_next_arrival()
@@ -222,15 +222,15 @@ class CallScheduler:
         if n > 0:
             # both directions share t0, frame interval and length, so one
             # event per frame paces the pair
-            self.sim.schedule(now, self._emit, (streams, 0), kind="media-emit")
+            self.sim.schedule(now, self._emit, streams, kind="media-emit")
         self.sim.schedule(now + duration, self._end_call, session, kind="call-end")
 
-    def _emit(self, arg) -> None:
-        streams, seq = arg
+    def _emit(self, streams) -> None:
+        seq = len(streams[0].recv)  # the log holds one entry per packet emitted
         sim = self.sim
         if seq + 1 < streams[0].n_packets:
-            sim.schedule(sim.now + self.codec.frame_interval_us, self._emit,
-                         (streams, seq + 1), kind="media-emit")
+            sim.schedule(sim.now + self.codec.frame_interval_us, self._emit, streams,
+                         kind="media-emit")
         stats = sim.stats
         for stream in streams:  # forward, then reverse
             stream.recv.append(PENDING)

@@ -509,6 +509,25 @@ def test_umts_fifo_and_tti_spacing():
     assert [b - a for a, b in zip(times, times[1:])] == [millis(10)] * 4
 
 
+@pytest.mark.parametrize("k", range(UmtsParams().max_rlc_retx + 1))
+def test_umts_queued_packet_starts_one_tti_after_the_last_attempt(k):
+    tracer = TraceRows()
+    sim, fabric, cell = umts_fixture(trace_row=tracer, bler=0.5)
+    cell._rng = _AttemptRng(k)  # the first packet fails k times, then all succeed
+    probe = Probe()
+    for tag in ("first", "second"):
+        sim.schedule(3_000, _send_one(fabric, probe, tag, src="ran-ws1"), kind="feed")
+    sim.run_until(seconds(1))
+    assert [tag for tag, _t in probe.delivered] == ["first", "second"]
+    assert cell._rng.calls == k + 2
+    air_end = {pid: egress for pid, label, _ingress, egress, _reason in tracer
+               if label == "umts-air-up:ran"}
+    # from the 10 ms boundary after 3 ms, the first packet's k + 1 attempts
+    # take a TTI each, and the second's single attempt the TTI after them
+    assert air_end == {0: millis(10) + (k + 1) * millis(10),
+                       1: millis(10) + (k + 2) * millis(10)}
+
+
 def umts_pair_fixture(trace_row=None, *, up_bler, cloud_us=millis(30), seed=7):
     """Two UMTS cells over a fixed cloud; the downlink cell never fails, and
     its CN delay puts downlink arrivals off the TTI grid."""
@@ -523,10 +542,13 @@ def umts_pair_fixture(trace_row=None, *, up_bler, cloud_us=millis(30), seed=7):
 
 
 def umts_oracle_delivery(t_send, k, up, cloud_us, down):
-    """TTI alignment + (k+1) TTIs + pipe + cloud + pipe + downlink air."""
-    t_air_up = up.next_tti_boundary(t_send) + (k + 1) * up.params.tti_us
+    """TTI alignment + (k+1) TTIs + pipe + cloud + pipe + downlink air: an
+    air link's first attempt starts at the first TTI boundary at or after
+    the packet reaches it."""
+    tti_up, tti_down = up.params.tti_us, down.params.tti_us
+    t_air_up = t_send + (-t_send) % tti_up + (k + 1) * tti_up
     t_down = t_air_up + up.pipe_us + cloud_us + down.pipe_us
-    return down.next_tti_boundary(t_down) + down.params.tti_us
+    return t_down + (-t_down) % tti_down + tti_down
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

@@ -41,7 +41,7 @@ class ZeroFabric:
         self.sim = sim
 
     def send(self, item, size_bytes, src, dst, on_end, on_fail):
-        self.sim.schedule_in(0, self._arrive, (item, on_end))
+        self.sim.schedule(self.sim.now, self._arrive, (item, on_end))
 
     def _arrive(self, arg):
         item, on_end = arg
@@ -55,7 +55,7 @@ class BlackholeFabric:
         self.sim = sim
 
     def send(self, item, size_bytes, src, dst, on_end, on_fail):
-        self.sim.schedule_in(0, lambda _: on_fail(item, "cloud-loss"))
+        self.sim.schedule(self.sim.now, lambda _: on_fail(item, "cloud-loss"))
 
 
 class ScriptedFabric(ZeroFabric):
@@ -66,7 +66,8 @@ class ScriptedFabric(ZeroFabric):
         self.delays = delays
 
     def send(self, item, size_bytes, src, dst, on_end, on_fail):
-        self.sim.schedule_in(self.delays.get(item.kind, 0), self._arrive, (item, on_end))
+        self.sim.schedule(self.sim.now + self.delays.get(item.kind, 0), self._arrive,
+                          (item, on_end))
 
 
 def make_layer(sim, fabric, log=None, **kwargs):

@@ -117,7 +117,7 @@ def test_handler_may_schedule_more_work():
     def chain(n):
         fired.append(n)
         if n < 5:
-            sim.schedule_in(10, chain, n + 1)
+            sim.schedule(sim.now + 10, chain, n + 1)
 
     sim.schedule(0, chain, 1)
     sim.run_until(1_000)
@@ -175,7 +175,7 @@ def test_same_instant_fault_leaves_the_rest_queued_in_order():
 
     def first(_):
         fired.append("first")
-        sim.schedule_in(0, fired.append, "fresh")  # seq after every entry below
+        sim.schedule(sim.now, fired.append, "fresh")  # seq after every entry below
 
     def boom(_):
         raise ValueError("broken handler")

@@ -100,7 +100,7 @@ class _InstantLayer:
                                   on_closed=on_closed,
                                   t_established=None, t_teardown=None)
         self._next += 1
-        self.sim.schedule_in(0, self._establish, session)
+        self.sim.schedule(self.sim.now, self._establish, session)
         return session
 
     def _establish(self, session):
@@ -110,7 +110,7 @@ class _InstantLayer:
 
     def teardown(self, session):
         session.t_teardown = self.sim.now
-        self.sim.schedule_in(0, session.on_closed, session)
+        self.sim.schedule(self.sim.now, session.on_closed, session)
 
 
 class _SinkFabric:
