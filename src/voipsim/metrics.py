@@ -135,7 +135,6 @@ class QoSBucket:
     holds no delivered packet (or, for jitter, no delivered pair)."""
 
     window_start_us: int
-    width_us: int
     samples: int
     dropped: int
     jitter_s: float | None
@@ -200,7 +199,7 @@ def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
         start = w * width_us
         n = counts[w]
         if n == 0:
-            buckets.append(QoSBucket(start, width_us, 0, drops[w], None, None,
+            buckets.append(QoSBucket(start, 0, drops[w], None, None,
                                      None, None, None, None, start < warm_up_us))
             continue
         e2e_sum_us = sums[w] + codec_us * n
@@ -212,7 +211,6 @@ def bucketize(stream_records, codec: CodecProfile, *, run_length_us: int,
         jitter_s = None if jit is None else jit / 1_000_000
         buckets.append(QoSBucket(
             window_start_us=start,
-            width_us=width_us,
             samples=n,
             dropped=drops[w],
             jitter_s=jitter_s,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .simcore import Simulator, SimError, uniform_below
+from .traffic import DROPPED
 
 WIFI_ACK_BYTES = 14
 WIFI_ACK_RATE_BPS = 1_000_000  # control frames at 802.11b base rate
@@ -367,15 +368,14 @@ class UmtsCell:
         self._rng = sim.rng.stream(f"umts-bler:{name}")
         self._up = {ue: _Bearer() for ue in ues}
         self._down = {ue: _Bearer() for ue in ues}
-        # uplink: air first, then the pipe toward the cloud; downlink mirrors it
-        self.pipe_us = params.pipe_us
 
     def bind(self, fabric: "Fabric") -> None:
         self.fabric = fabric
-        fabric.fix(f"umts-utran-cn-up:{self.name}", self.pipe_us, "umts-pipe")
-        fabric.fix(f"umts-cn-utran-down:{self.name}", self.pipe_us, "umts-pipe")
+        fabric.fix(f"umts-utran-cn-up:{self.name}", self.params.pipe_us, "umts-pipe")
+        fabric.fix(f"umts-cn-utran-down:{self.name}", self.params.pipe_us, "umts-pipe")
 
     def up_segments(self, ue: str) -> list[tuple]:
+        # uplink: air first, then the pipe toward the cloud; downlink mirrors it
         return [
             (f"umts-air-up:{self.name}", self._air_enqueue, self._up[ue]),
             (f"umts-utran-cn-up:{self.name}", None, None),
@@ -428,7 +428,6 @@ class IpCloud:
 
     def __init__(self, sim: Simulator, params: CloudSpec = CloudSpec()):
         params.check()
-        self.sim = sim
         self.params = params
         self.fabric = None
         # jitter draws: _below(2*hw + 1) - hw is randint(-hw, hw) on the same stream
@@ -469,20 +468,19 @@ class Fabric:
     A segment whose label its model declared with fix() when bound (a UMTS
     pipe, a cloud that neither jitters nor loses) is fixed: fixed is its
     (delay_us, event kind), and the fabric never calls its transmit_fn.  A run
-    of consecutive fixed segments costs one scheduled event.  tail_us is the
-    delay of the fixed run right after a step and next_hop the step that
-    follows that run, so a segment that ends in a pure wait (hold) carries the
-    run too.  A segment that draws is never folded into the one before it, so
-    every random draw keeps its simulated instant and order.  A folded event
-    is queued when its run starts, not when its last segment starts, so at an
-    equal fire time it can sort before an event scheduled in between.
-    tests/test_properties.py runs random validated scenarios against a
-    fabric that gives every segment its own event: when every fixed segment
-    lasts at least 1 us, the metrics CSV, the session log, the run's counters
-    and the trace rows of every finished packet are the same.  A fixed
-    segment of 0 us is the exception: the packet then reaches its next
-    segment after fewer rounds of same-instant events than unfolded, ahead
-    of other events of that instant, and pinned scenarios show the change.
+    of consecutive fixed segments of at least 1 us costs one scheduled event.
+    tail_us is the delay of the fixed run right after a step and next_hop the
+    step that follows that run, so a segment that ends in a pure wait (hold)
+    carries the run too.  A segment that draws is never folded into the one
+    before it, so every random draw keeps its simulated instant and order.
+    A fixed segment of 0 us folds with nothing: it ends the run before it
+    and keeps its own event, so it costs the round of same-instant events
+    it costs unfolded.  A folded event is queued when its run starts, not
+    when its last segment starts, so at an equal fire time it can sort
+    before an event scheduled in between.  tests/test_properties.py runs
+    random validated scenarios against a fabric that gives every segment its
+    own event: the metrics CSV, the session log, the run's counters and the
+    trace rows of every finished packet are the same.
 
     A media packet's last wait needs no event.  When a hold (with its fixed
     run) ends the path of an envelope whose on_end is the media sink, and it
@@ -556,8 +554,11 @@ class Fabric:
         for hop in range(len(segments) - 1, -1, -1):
             label, fn, node = segments[hop]
             fixed = self._fixed.get(label)
+            if fixed is not None and fixed[0] == 0:
+                tail_us = 0  # a 0 us segment folds with nothing
+                next_hop = hop + 1
             steps.append((label, fn, node, fixed, tail_us, next_hop))
-            if fixed is None:
+            if fixed is None or fixed[0] == 0:
                 tail_us = 0
                 next_hop = hop
             else:
@@ -645,12 +646,12 @@ class Fabric:
 
     def _media_done(self, packet: tuple, t_recv: int) -> None:
         stream, seq = packet
-        stream.recv[seq] = t_recv  # MediaStream.mark_delivered, without its frame
+        stream.recv[seq] = t_recv
         self.sim.stats.packets_delivered += 1
 
     def _media_fail(self, packet: tuple, reason: str) -> None:
         stream, seq = packet
-        stream.mark_dropped(seq)
+        stream.recv[seq] = DROPPED
         stats = self.sim.stats
         stats.packets_dropped += 1
         stats.count_drop(reason)

@@ -167,7 +167,6 @@ def run_scenario(spec: ScenarioSpec, *, seed: int | None = None,
 
 
 def _load_metrics_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    # imported here: only comparing runs reads CSV
     import csv
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -190,6 +189,9 @@ def compare_runs(paths, mode: str, fh) -> None:
     """Merge metrics CSVs for plotting: overlaid is one long table keyed by
     scenario/seed; stacked repeats the table per source with a comment line.
     All inputs must share the same window grid."""
+    # imported here: only comparing runs reads and writes CSV
+    import csv
+
     if mode not in ("overlaid", "stacked"):
         raise ValueError(f"mode must be overlaid or stacked, got {mode!r}")
     loaded = []
@@ -205,14 +207,14 @@ def compare_runs(paths, mode: str, fh) -> None:
                 "(bucket width or run length mismatch)")
         loaded.append((path, rows))
 
-    fh.write(",".join(CSV_COLUMNS) + "\n")
+    # quotes a field only where it must, so voipsim's own rows pass unchanged
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(CSV_COLUMNS)
     if mode == "overlaid":
         for _path, rows in loaded:
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            out.writerows(rows)
     else:
         for path, rows in loaded:
             fh.write(f"# {rows[0][0]} seed={rows[0][1]} source={os.path.basename(path)}\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            out.writerows(rows)
             fh.write("\n")

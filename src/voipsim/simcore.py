@@ -150,13 +150,15 @@ def uniform_below(rng: random.Random):
 class Simulator:
     """Single-threaded event loop over a same-instant calendar.
 
-    Events are entries [fire_at, seq, fn, arg, kind], and schedule() returns
-    the entry itself as the event's handle.  The future-event list is two
-    structures: a heap of the distinct instants that have events, and a dict
-    from each instant to its entries in seq order.  schedule() appends to its
-    instant's list and pushes the instant onto the heap only when it creates
-    that list, so a run pays one heap push and pop per instant, not per event.
-    On a TTI grid (UMTS) nearly ten events share an instant.
+    Events are entries [fn, arg, kind], and schedule() returns the entry
+    itself as the event's handle.  The future-event list is two structures: a
+    heap of the distinct instants that have events, and a dict from each
+    instant to its entries in the order they were scheduled (seq order), so
+    an entry's fire_at is its key and its seq is its place in that list.
+    schedule() appends to its instant's list and pushes the instant onto the
+    heap only when it creates that list, so a run pays one heap push and pop
+    per instant, not per event.  On a TTI grid (UMTS) nearly ten events
+    share an instant.
 
     run_until pops an instant, pops its list, sets now once and walks the
     list.  An event a handler schedules for now goes into a fresh list under
@@ -189,9 +191,8 @@ class Simulator:
         """Enqueue fn(arg) to run at fire_at; returns the entry as its cancel handle."""
         if fire_at < self.now:
             raise SchedulingInPast(f"fire_at={fire_at} < now={self.now}")
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        entry = [fire_at, seq, fn, arg, kind]
+        self._next_seq += 1
+        entry = [fn, arg, kind]
         same = self._due.get(fire_at)
         if same is None:
             self._due[fire_at] = [entry]
@@ -202,9 +203,9 @@ class Simulator:
 
     def cancel(self, entry: list) -> bool:
         """Make a pending event inert; False if it already fired or was cancelled."""
-        if entry[2] is None:
+        if entry[0] is None:
             return False
-        entry[2] = None
+        entry[0] = None
         self._cancelled += 1
         return True
 
@@ -230,17 +231,17 @@ class Simulator:
                 self.now = now
                 walk = iter(due.pop(now))
                 for entry in walk:
-                    fn = entry[2]
+                    fn = entry[0]
                     if fn is None:
                         continue
-                    entry[2] = None
+                    entry[0] = None
                     stats.events_processed += 1
-                    fn(entry[3])
+                    fn(entry[1])
         except Exception as exc:
             self._requeue(now, list(walk))
             stats.end_ticks = now
             raise EventHandlerFault(
-                f"handler for event seq={entry[1]} kind={entry[4]!r} raised: {exc!r}",
+                f"handler for event kind={entry[2]!r} at t={now} raised: {exc!r}",
                 stats,
             ) from exc
         finally:

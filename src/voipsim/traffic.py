@@ -121,12 +121,6 @@ class MediaStream:
         self.n_packets = n_packets
         self.recv = array("q")
 
-    def mark_delivered(self, seq: int, t_recv: int) -> None:
-        self.recv[seq] = t_recv
-
-    def mark_dropped(self, seq: int) -> None:
-        self.recv[seq] = DROPPED
-
 
 def count_in_flight(calls) -> int:
     """Packets of these stream pairs still in flight: their PENDING log entries."""

@@ -137,9 +137,9 @@ def test_records_from_stream_pairs_every_emitted_packet():
     s = MediaStream("a", "b", G711, t0=1_000, n_packets=5)
     for _ in range(4):
         s.recv.append(PENDING)
-    s.mark_delivered(0, 40_000)
-    s.mark_dropped(1)
-    s.mark_delivered(3, 90_000)
+    s.recv[0] = 40_000
+    s.recv[1] = DROPPED
+    s.recv[3] = 90_000
     # one pair per emitted seq, the in-flight seq 2 included
     pairs = records_from_stream(s)
     assert len(pairs) == 4
@@ -432,14 +432,12 @@ def test_bucketize_rejects_bad_width():
 # --- CSV ---------------------------------------------------------------------
 
 def test_csv_layout_golden():
-    full = QoSBucket(window_start_us=0, width_us=10_000_000, samples=500,
-                     dropped=0, jitter_s=0.002, mean_e2e_s=0.0324,
-                     pdv_s2=1.5e-05, mos=4.4, delay_class=GOOD,
+    full = QoSBucket(window_start_us=0, samples=500, dropped=0, jitter_s=0.002,
+                     mean_e2e_s=0.0324, pdv_s2=1.5e-05, mos=4.4, delay_class=GOOD,
                      jitter_class=GOOD, in_warmup=True)
-    empty = QoSBucket(window_start_us=10_000_000, width_us=10_000_000,
-                      samples=0, dropped=0, jitter_s=None, mean_e2e_s=None,
-                      pdv_s2=None, mos=None, delay_class=None,
-                      jitter_class=None, in_warmup=False)
+    empty = QoSBucket(window_start_us=10_000_000, samples=0, dropped=0,
+                      jitter_s=None, mean_e2e_s=None, pdv_s2=None, mos=None,
+                      delay_class=None, jitter_class=None, in_warmup=False)
     fh = io.StringIO()
     write_metrics_csv(fh, "demo", 7, {1: [empty], 0: [full]})
     expected = "\n".join([

@@ -224,8 +224,9 @@ def test_wifi_lone_station_arrives_after_difs_backoff_and_exchange(backoff):
     sim, stream, arrival = lone_media_fixture(backoff)
     sim.run_until(seconds(1))
     assert stream.recv[0] == arrival
-    # the feed and one DCF round; the last wait rides no event of its own
-    assert sim.stats.events_processed == 2
+    # the feed, one DCF round and the exchange's end; the last wait, the
+    # 0 us cloud, rides no event of its own
+    assert sim.stats.events_processed == 3
     assert sim.stats.packets_delivered == 1
     assert count_in_flight([(stream,)]) == 0
 
@@ -236,8 +237,9 @@ def test_last_wait_ending_at_horizon_is_delivered():
     assert stream.recv[0] == arrival
     assert sim.stats.packets_delivered == 1
     assert count_in_flight([(stream,)]) == 0
-    # delivered when its last wait started: no event was left for t_end
-    assert sim.stats.events_processed == 2
+    # the exchange ends at t_end, and the 0 us cloud after it is delivered
+    # when its wait starts: no event was left for t_end
+    assert sim.stats.events_processed == 3
     assert sim.pending_count() == 0
 
 
@@ -250,7 +252,7 @@ def test_last_wait_ending_past_horizon_stays_in_flight():
     # run_scenario sets the in-flight count from the logs after its run
     sim.stats.packets_in_flight = count_in_flight([(stream,)])
     assert sim.stats.conservation_holds()
-    # the delivery is an event, due in the next run
+    # the exchange's end is an event, due in the next run
     assert sim.pending_count() == 1
     sim.run_until(arrival)
     assert stream.recv[0] == arrival
@@ -264,8 +266,9 @@ def test_non_media_last_wait_keeps_its_event():
     sim.schedule(1_000, _send_one(fabric, probe, "sip"), kind="feed")
     sim.run_until(seconds(1))
     assert probe.delivered == [("sip", 1_000 + 50 + 7 * 20 + cell.exchange_us(200))]
-    # feed, DCF round and the delivery event a SIP callback needs
-    assert sim.stats.events_processed == 3
+    # feed, DCF round, the exchange's end and the 0 us cloud's delivery
+    # event that a SIP callback needs
+    assert sim.stats.events_processed == 4
 
 
 def test_hold_outside_run_until_schedules_an_event():
@@ -547,7 +550,7 @@ def umts_oracle_delivery(t_send, k, up, cloud_us, down):
     the packet reaches it."""
     tti_up, tti_down = up.params.tti_us, down.params.tti_us
     t_air_up = t_send + (-t_send) % tti_up + (k + 1) * tti_up
-    t_down = t_air_up + up.pipe_us + cloud_us + down.pipe_us
+    t_down = t_air_up + up.params.pipe_us + cloud_us + down.params.pipe_us
     return t_down + (-t_down) % tti_down + tti_down
 
 
@@ -752,4 +755,4 @@ def test_folded_umts_pair_keeps_one_trace_row_per_segment():
     assert rows[0][2] == 3_000 and rows[-1][3] == t_recv
     assert sum(eg - ing for _, _, ing, eg, _ in rows) == t_recv - 3_000
     assert [eg - ing for _, _, ing, eg, _ in rows[1:4]] == [
-        up.pipe_us, millis(30), down.pipe_us]
+        up.params.pipe_us, millis(30), down.params.pipe_us]

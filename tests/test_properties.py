@@ -207,38 +207,25 @@ def assert_folding_changes_no_output(spec):
         assert got == (rows if finished else rows[:len(got)]), pid
 
 
-def _fixed_delays(spec):
-    """Delays of the segments the fabric carries itself: each UMTS pipe, and
-    the cloud when it neither jitters nor loses."""
-    delays = [sub.params.pipe_us for sub in spec.subnets if isinstance(sub.params, UmtsParams)]
-    if spec.cloud.jitter_half_width_us == 0 and spec.cloud.loss_prob == 0:
-        delays.append(spec.cloud.base_delay_us)
-    return delays
-
-
 @settings(max_examples=150, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(scenario_specs())
 def test_folded_fabric_matches_an_unfolded_reference(spec):
     spec = dataclasses.replace(spec, run_length_us=spec.run_length_us // 3)
     assume(_valid(spec))
-    # a fixed segment of 0 us is the known exception, pinned below
-    assume(min(_fixed_delays(spec), default=1) > 0)
     assert_folding_changes_no_output(spec)
 
 
 # UMTS pipes and a cloud of 0 us: a UMTS-to-WiFi packet leaves the air link
-# on the TTI grid and reaches the access point at that same instant.
-# Unfolded, that takes three more rounds of same-instant events, so other
-# events of that instant run before its enqueue; folded, only one.  Seed 28
-# is the first seed at which the order shows in the output: one packet of
-# this run waits behind another at the access point in one fabric only.
+# on the TTI grid and reaches the access point at that same instant, one
+# round of same-instant events per 0 us segment later.  A fold that skips
+# those rounds enqueues it ahead of other events of that instant: at seed 28
+# one packet then waits behind another at the access point.
 ZERO_FIXED_INI = """\
 [scenario]
 name = zero-fixed
 run_length_s = 10
 warm_up_s = 0
-master_seed = 28
 
 [subnet.left]
 kind = wifi
@@ -262,23 +249,17 @@ duration_mean_s = 10
 """
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a fixed run of 0 us reorders events of one instant")
-def test_a_zero_length_fixed_run_matches_the_unfolded_reference():
-    assert_folding_changes_no_output(validate(parse_scenario_text(ZERO_FIXED_INI)))
-
-
 # A 0 us cloud between UMTS pipes of 1 us, on TTI grids of 1001 and 1000 us
-# with one-packet bearers: the fixed run is 2 us long, but its 0 us segment
-# still reorders events of one instant.  At seed 0 two downlink attempts of
-# the left cell that end at one instant draw its BLER stream in the other
-# order; 6 of seeds 0 to 29 change the output.
+# with one-packet bearers.  A fold of the whole 2 us run skips the 0 us
+# cloud's round of same-instant events: two downlink attempts of the left
+# cell that end at one instant then draw its BLER stream in the other order,
+# at 6 of seeds 0 to 29.  With a 1 us cloud, the near miss, the whole 3 us
+# run folds into one event and the order holds.
 ZERO_CLOUD_INI = """\
 [scenario]
 name = zero-cloud
 run_length_s = 20
 warm_up_s = 0
-master_seed = 0
 
 [subnet.left]
 kind = umts
@@ -305,7 +286,7 @@ cn_delay_ms = 0.001
 air_interleave_delay_ms = 0
 
 [cloud]
-base_delay_ms = 0
+base_delay_ms = {cloud_ms}
 jitter_half_width_ms = 0
 
 [calls]
@@ -316,10 +297,13 @@ invite_timeout_s = 1
 """
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a fixed segment of 0 us reorders events of one instant")
-def test_a_zero_length_cloud_between_umts_pipes_matches_the_unfolded_reference():
-    assert_folding_changes_no_output(validate(parse_scenario_text(ZERO_CLOUD_INI)))
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("text", [
+    ZERO_FIXED_INI, ZERO_CLOUD_INI.format(cloud_ms=0), ZERO_CLOUD_INI.format(cloud_ms=0.001)],
+    ids=["zero-fixed", "zero-cloud", "one-us-cloud"])
+def test_short_fixed_segments_match_the_unfolded_reference(text, seed):
+    spec = validate(parse_scenario_text(text))
+    assert_folding_changes_no_output(dataclasses.replace(spec, master_seed=seed))
 
 
 # -- config text --------------------------------------------------------------

@@ -270,9 +270,8 @@ def test_partial_manifest_on_fault(tmp_path, monkeypatch):
 # -- compare ------------------------------------------------------------------
 
 def _bucket(start_us, samples=10):
-    return QoSBucket(window_start_us=start_us, width_us=10_000_000,
-                     samples=samples, dropped=0, jitter_s=0.001,
-                     mean_e2e_s=0.03, pdv_s2=0.0, mos=4.0,
+    return QoSBucket(window_start_us=start_us, samples=samples, dropped=0,
+                     jitter_s=0.001, mean_e2e_s=0.03, pdv_s2=0.0, mos=4.0,
                      delay_class="Good", jitter_class="Good", in_warmup=False)
 
 
@@ -304,6 +303,24 @@ def test_compare_stacked(tmp_path):
     assert "# demo seed=2 source=b.csv" in text
     # stacked blocks end with a separating blank line
     assert text.endswith("\n\n")
+
+
+def test_compare_keeps_a_quoted_field_one_field(tmp_path):
+    import csv
+
+    rows = []
+    for scenario in ("a,b", 'say "hi"'):
+        row = [scenario, "1", "caller_to_callee", "0.000000000", "10", "0.001000000",
+               "0.030000000", "0.000000000", "4.000000000", "Good", "Good"]
+        with open(tmp_path / f"{len(rows)}.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([CSV_COLUMNS, row])
+        rows.append(row)
+    for mode in ("overlaid", "stacked"):
+        out = io.StringIO()
+        compare_runs([str(tmp_path / "0.csv"), str(tmp_path / "1.csv")], mode, out)
+        lines = [line for line in out.getvalue().splitlines()
+                 if line and not line.startswith("#")]
+        assert list(csv.reader(lines)) == [list(CSV_COLUMNS)] + rows
 
 
 def test_compare_rejects_mismatched_grid(tmp_path):

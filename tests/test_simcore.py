@@ -142,11 +142,12 @@ def test_handler_fault_carries_partial_stats():
         raise ValueError("broken handler")
 
     sim.schedule(10, lambda _: None)
-    sim.schedule(20, boom)
+    sim.schedule(20, boom, kind="boom")
     with pytest.raises(EventHandlerFault) as excinfo:
         sim.run_until(100)
     assert excinfo.value.stats.events_processed == 2
     assert excinfo.value.stats.end_ticks == 20
+    assert str(excinfo.value).startswith("handler for event kind='boom' at t=20 raised")
 
 
 def test_horizon_is_set_only_inside_run_until():
