@@ -6,17 +6,20 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .metrics import CSV_COLUMNS, QoSBucket, bucketize, records_from_stream, write_metrics_csv
+from .metrics import (ACCEPTABLE, CSV_COLUMNS, GOOD, POOR, QoSBucket, bucketize,
+                      records_from_stream, write_metrics_csv)
 from .netmodels import TRACE_COLUMNS, Fabric, IpCloud, UmtsCell, WifiCell
-from .scenario import ScenarioSpec, spec_as_dict, spec_digest
+from .scenario import NAME_RE, ScenarioSpec, spec_as_dict, spec_digest
 from .signaling import SessionLayer
 from .simcore import EventHandlerFault, RunStats, SimError, Simulator
-from .traffic import CODECS, DIR_FORWARD, DIR_REVERSE, CallScheduler, MediaStream, count_in_flight
+from .traffic import (CODECS, DIR_FORWARD, DIR_REVERSE, DIRECTION_LABELS, CallScheduler,
+                      MediaStream, count_in_flight)
 
 
 class IncompatibleRuns(SimError):
@@ -166,38 +169,48 @@ def run_scenario(spec: ScenarioSpec, *, seed: int | None = None,
 # -- comparing finished runs -------------------------------------------------
 
 
-def _load_metrics_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    import csv
+# the one row grammar write_metrics_csv writes, a pattern per column; every
+# pattern is ASCII, so a file read as latin-1 can hold no other byte unnoticed
+_FLOAT = re.compile(r"(-?[0-9]+\.[0-9]{9})?")
+_CLASS = re.compile(f"({GOOD}|{ACCEPTABLE}|{POOR})?")
+_COLUMN_RES = (NAME_RE, re.compile("-?[0-9]+"), re.compile("|".join(DIRECTION_LABELS)),
+               re.compile(r"[0-9]+\.[0-9]{9}"), re.compile("[0-9]+"),
+               _FLOAT, _FLOAT, _FLOAT, _FLOAT, _CLASS, _CLASS)
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_COLUMNS):
-            raise IncompatibleRuns(f"{path}: not a metrics CSV (bad header)")
-        rows = []
-        for row in reader:
-            if len(row) != len(CSV_COLUMNS):
-                raise IncompatibleRuns(f"{path}: line {reader.line_num} has {len(row)} "
-                                       f"fields, not {len(CSV_COLUMNS)}")
-            rows.append(row)
-    if not rows:
+
+def _load_metrics_csv(path: str) -> list[list[str]]:
+    """The data rows of a metrics CSV, each checked field by field against
+    what write_metrics_csv writes; a CRLF line ending is read as LF."""
+    with open(path, "r", encoding="latin-1", newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines.pop() != "":
+        raise IncompatibleRuns(f"{path}: line {len(lines) + 1} has no newline")
+    rows = [line.removesuffix("\r").split(",") for line in lines]
+    if not rows or rows[0] != list(CSV_COLUMNS):
+        raise IncompatibleRuns(f"{path}: not a metrics CSV (bad header)")
+    for n, row in enumerate(rows[1:], start=2):
+        if len(row) != len(CSV_COLUMNS):
+            raise IncompatibleRuns(f"{path}: line {n} has {len(row)} "
+                                   f"fields, not {len(CSV_COLUMNS)}")
+        for column, pattern, field in zip(CSV_COLUMNS, _COLUMN_RES, row):
+            if not pattern.fullmatch(field):
+                raise IncompatibleRuns(f"{path}: line {n}: {column} {field!r} "
+                                       "is not as voipsim writes it")
+    if len(rows) == 1:
         raise IncompatibleRuns(f"{path}: no data rows")
-    return header, rows
+    return rows[1:]
 
 
 def compare_runs(paths, mode: str, fh) -> None:
     """Merge metrics CSVs for plotting: overlaid is one long table keyed by
     scenario/seed; stacked repeats the table per source with a comment line.
     All inputs must share the same window grid."""
-    # imported here: only comparing runs reads and writes CSV
-    import csv
-
     if mode not in ("overlaid", "stacked"):
         raise ValueError(f"mode must be overlaid or stacked, got {mode!r}")
     loaded = []
     grid = None
     for path in paths:
-        _header, rows = _load_metrics_csv(path)
+        rows = _load_metrics_csv(path)
         starts = sorted({row[3] for row in rows})
         if grid is None:
             grid = starts
@@ -207,14 +220,10 @@ def compare_runs(paths, mode: str, fh) -> None:
                 "(bucket width or run length mismatch)")
         loaded.append((path, rows))
 
-    # quotes a field only where it must, so voipsim's own rows pass unchanged
-    out = csv.writer(fh, lineterminator="\n")
-    out.writerow(CSV_COLUMNS)
-    if mode == "overlaid":
-        for _path, rows in loaded:
-            out.writerows(rows)
-    else:
-        for path, rows in loaded:
+    fh.write(",".join(CSV_COLUMNS) + "\n")
+    for path, rows in loaded:
+        if mode == "stacked":
             fh.write(f"# {rows[0][0]} seed={rows[0][1]} source={os.path.basename(path)}\n")
-            out.writerows(rows)
+        fh.writelines(",".join(row) + "\n" for row in rows)
+        if mode == "stacked":
             fh.write("\n")

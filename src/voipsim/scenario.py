@@ -120,7 +120,7 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
             key = next((k for k, (f, _how) in keymap.items() if f == field), field)
             fail(f"{prefix}{key} {rule}")
 
-    if not NAME_RE.match(spec.name or ""):
+    if not NAME_RE.fullmatch(spec.name or ""):
         fail("name must be a plain token (letters, digits, . _ -)")
     if len(spec.subnets) != 2:
         fail(f"exactly 2 subnets required, got {len(spec.subnets)}")
@@ -128,7 +128,7 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
     if len(set(names)) != 2:
         fail("subnet names must be distinct")
     for sub in spec.subnets:
-        if not NAME_RE.match(sub.name):
+        if not NAME_RE.fullmatch(sub.name):
             fail(f"subnet name {sub.name!r} must be a plain token")
         if sub.kind is None:
             fail(f"subnet {sub.name}: kind must be wifi or umts")

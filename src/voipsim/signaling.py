@@ -1,8 +1,11 @@
 """Minimal SIP session layer: registration, INVITE handshake, BYE teardown.
 
 One shared state machine per session walks Idle, Inviting, Ringing,
-Established, Terminating, Closed; any state may fall to Closed on timeout or
-protocol violation.  Every message travels caller -> proxy -> callee through
+Established, Terminating, Closed; any state may fall to Closed on timeout.
+One rule covers every delivery: each message kind is expected in a fixed set
+of states (EXPECTED_IN), and a message that arrives in any other state, such
+as one still in flight after the session closed or a 180 overtaken by the
+200, is discarded.  Every message travels caller -> proxy -> callee through
 the same network fabric as media, so setup delay is real transport delay,
 plus PROXY_PROC_US at the proxy for each relay.
 Media gating and busy tracking are the caller's job: the call scheduler
@@ -32,6 +35,16 @@ OK_200 = "OK_200"
 ACK = "ACK"
 BYE = "BYE"
 
+# the states in which each message kind is expected; a 200 answers the BYE in
+# Terminating and the INVITE in Ringing, or in Inviting if its 180 is late or lost
+EXPECTED_IN = {
+    INVITE: (INVITING,),
+    RINGING_180: (INVITING,),
+    OK_200: (INVITING, RINGING, TERMINATING),
+    ACK: (RINGING,),
+    BYE: (TERMINATING,),
+}
+
 
 class SipError(SimError):
     pass
@@ -58,7 +71,6 @@ class SipSession:
         self.state = IDLE
         self.t_invite = t_invite
         self.t_established: int | None = None
-        self.answered = False  # 200 seen by caller, ACK on the way
         self.on_established = None
         self.on_closed = None
         # Simulator.schedule handles of the pending timers
@@ -144,67 +156,39 @@ class SessionLayer:
     def _deliver(self, msg: SipMessage, _t: int) -> None:
         self.sim.stats.sip_messages_delivered += 1
         session = msg.session
-        if session.state == CLOSED:
-            return  # stale message, session already over
         kind = msg.kind
+        if session.state not in EXPECTED_IN[kind]:
+            return
         if kind == INVITE:
-            if session.state != INVITING:
-                self._violation(session)
-                return
             self._send(session, RINGING_180, session.callee, session.caller)
             session._answer_event = self.sim.schedule(
                 self.sim.now + self.spec.answer_delay_us, self._on_answer, session,
                 kind="sip-answer")
         elif kind == RINGING_180:
-            if session.answered:
-                return  # provisional after the final response: discarded (RFC 3261)
-            if session.state != INVITING:
-                self._violation(session)
-                return
             self._transition(session, RINGING)
         elif kind == OK_200:
             if session.state == TERMINATING:
                 self._close(session)
-            elif session.state in (INVITING, RINGING) and not session.answered:
-                # a lost 180 may leave us in Inviting; the 200 still answers
-                session.answered = True
-                if session.state == INVITING:
-                    self._transition(session, RINGING)
-                self._send(session, ACK, session.caller, session.callee)
-            else:
-                self._violation(session)
-        elif kind == ACK:
-            if session.state != RINGING or not session.answered:
-                self._violation(session)
                 return
+            if session.state == INVITING:
+                self._transition(session, RINGING)
+            self._send(session, ACK, session.caller, session.callee)
+        elif kind == ACK:
             self._cancel_timer(session)
             session.t_established = self.sim.now
             self._transition(session, ESTABLISHED)
             if session.on_established is not None:
                 session.on_established(session)
-        elif kind == BYE:
-            if session.state != TERMINATING:
-                self._violation(session)
-                return
+        else:  # BYE
             self._send(session, OK_200, session.callee, session.caller)
-        else:
-            self._violation(session)
 
     def _on_answer(self, session: SipSession) -> None:
         session._answer_event = None
-        if session.state in (INVITING, RINGING):
-            self._send(session, OK_200, session.callee, session.caller)
+        self._send(session, OK_200, session.callee, session.caller)
 
     def _on_timeout(self, session: SipSession) -> None:
         session._timeout_event = None
-        if session.state in (INVITING, RINGING):
-            self.sim.stats.calls_failed_setup += 1
-            self._close(session)
-        elif session.state == TERMINATING:
-            self._close(session)
-
-    def _violation(self, session: SipSession) -> None:
-        if session.state in (INVITING, RINGING):
+        if session.state != TERMINATING:
             self.sim.stats.calls_failed_setup += 1
         self._close(session)
 

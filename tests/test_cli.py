@@ -5,10 +5,12 @@ import gc
 import json
 import os
 import weakref
+from dataclasses import replace
 
 import pytest
 
 from voipsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from voipsim.scenario import builtin_scenario
 from voipsim.simcore import EventHandlerFault, RunStats
 
 SHORT_INI = """\
@@ -148,6 +150,25 @@ def test_run_frees_each_repetition_before_the_next(tmp_path, capsys, monkeypatch
     assert code == EXIT_OK
     # checked as repetitions 2 and 3 start: every earlier output is gone
     assert alive == [False, False, False]
+
+
+def test_run_builtin_by_name(tmp_path, capsys, monkeypatch):
+    import voipsim.cli as cli_mod
+
+    real = cli_mod.run_scenario
+    resolved = []
+
+    def shortened(spec, **kwargs):
+        # the builtin runs an hour; its first 20 s show the same path
+        resolved.append(spec)
+        return real(replace(spec, run_length_us=20_000_000, warm_up_us=0), **kwargs)
+
+    monkeypatch.setattr(cli_mod, "run_scenario", shortened)
+    code, out, _ = run_cli(capsys, "run", "--scenario", "umts-umts", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    assert resolved == [builtin_scenario("umts-umts")]
+    assert out.startswith("umts-umts seed=1:")
+    assert (tmp_path / "umts-umts-seed1.metrics.csv").exists()
 
 
 def test_run_honours_out_env(tmp_path, capsys, monkeypatch):

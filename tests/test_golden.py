@@ -8,13 +8,14 @@ says so in CHANGES.md.
 
 import dataclasses
 import hashlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
 
-from voipsim.runner import run_scenario
+from voipsim.runner import compare_runs, run_scenario
 from voipsim.scenario import builtin_scenario, emit_scenario, parse_scenario_text, validate
 from voipsim.simcore import Simulator
 
@@ -84,6 +85,10 @@ def test_metrics_csv_matches_golden_digest(name, tmp_path):
     out = run_scenario(_spec(name), seed=SEED, out_dir=str(tmp_path))
     assert _sha256(out.csv_path) == GOLDEN_SHA256[name]
     assert out.stats.events_processed == GOLDEN_EVENTS[name]
+    # compare reads back exactly what a run writes
+    merged = io.StringIO()
+    compare_runs([out.csv_path], "overlaid", merged)
+    assert hashlib.sha256(merged.getvalue().encode()).hexdigest() == GOLDEN_SHA256[name]
 
 
 # Python frames a 60 s run of each workload calls inside run_until, per voice

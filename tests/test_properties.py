@@ -11,9 +11,15 @@ fabric's folded events against an unfolded reference.
 Config texts are drawn over every key of every section, with ordinary
 values, non-finite and overflowing numbers, huge integers, empty strings,
 unknown keys and repeated keys; they are only parsed, never run.
+
+A real metrics CSV, with bytes inserted, deleted or replaced, is either
+merged by `voipsim compare` with its data rows intact or refused as a config
+error.
 """
 
+import contextlib
 import dataclasses
+import io
 import tempfile
 from unittest import mock
 
@@ -21,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from voipsim import runner
+from voipsim import cli, runner
 from voipsim.netmodels import Fabric
 from voipsim.runner import run_scenario
 from voipsim.scenario import (
@@ -370,3 +376,62 @@ def test_config_text_parses_to_a_valid_spec_or_a_config_error(text):
     except (ParseError, ValidationError):
         return
     assert validate(spec) is spec
+
+
+# -- compare on damaged metrics CSVs -------------------------------------------
+
+# bytes a damaged or hand-edited CSV picks up: quotes, line ends, a UTF-8 BOM,
+# NUL, invalid UTF-8, and characters of the grammar itself
+DAMAGE = (b'"', b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf", b"\x00", b"\xff\xfe", b"\xe9",
+          b",", b"-", b".", b"0", b"Good")
+edits = st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                           st.integers(0, 10**6), st.integers(1, 12),
+                           st.one_of(st.sampled_from(DAMAGE), st.binary(max_size=4))),
+                 max_size=3)
+
+
+@pytest.fixture(scope="module")
+def metrics_csv(tmp_path_factory):
+    spec = validate(ScenarioSpec(
+        name="umts", subnets=(SubnetSpec("a", UmtsParams(), 2), SubnetSpec("b", UmtsParams(), 2)),
+        calls=CallSpec(inter_arrival_us=2 * S, duration_mean_us=20 * S,
+                       caller_subnet="a", callee_subnet="b"),
+        run_length_us=40 * S, warm_up_us=0))
+    out = run_scenario(spec, out_dir=str(tmp_path_factory.mktemp("compare")))
+    with open(out.csv_path, "rb") as fh:
+        return fh.read()
+
+
+def _damaged(data, damage):
+    for kind, at, length, payload in damage:
+        at %= len(data) + 1
+        if kind == "insert":
+            data = data[:at] + payload + data[at:]
+        elif kind == "delete":
+            data = data[:at] + data[at + length:]
+        else:
+            data = data[:at] + payload + data[at + length:]
+    return data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(crlf=st.booleans(), damage=edits, mode=st.sampled_from(("overlaid", "stacked")))
+def test_compare_keeps_the_rows_of_a_damaged_csv_or_refuses_it(metrics_csv, crlf, damage,
+                                                                mode):
+    data = _damaged(metrics_csv.replace(b"\n", b"\r\n") if crlf else metrics_csv, damage)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dest = f"{tmp}/in.csv", f"{tmp}/out.csv"
+        with open(src, "wb") as fh:
+            fh.write(data)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["compare", "--mode", mode, "--out", dest, src])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+        if code == cli.EXIT_CONFIG:
+            return
+        with open(dest, "rb") as fh:
+            written = fh.read()
+    rows_in = [line.removesuffix(b"\r") for line in data.split(b"\n")[1:-1]]
+    rows_out = [line for line in written.split(b"\n")[1:]
+                if line and not line.startswith(b"#")]
+    assert rows_out == rows_in

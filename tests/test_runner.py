@@ -305,22 +305,57 @@ def test_compare_stacked(tmp_path):
     assert text.endswith("\n\n")
 
 
-def test_compare_keeps_a_quoted_field_one_field(tmp_path):
-    import csv
+GOOD_ROW = ["demo", "1", "caller_to_callee", "0.000000000", "10", "0.001000000",
+            "0.030000000", "0.000000000", "4.000000000", "Good", "Good"]
 
-    rows = []
-    for scenario in ("a,b", 'say "hi"'):
-        row = [scenario, "1", "caller_to_callee", "0.000000000", "10", "0.001000000",
-               "0.030000000", "0.000000000", "4.000000000", "Good", "Good"]
-        with open(tmp_path / f"{len(rows)}.csv", "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([CSV_COLUMNS, row])
-        rows.append(row)
-    for mode in ("overlaid", "stacked"):
+
+@pytest.mark.parametrize("column, value", [
+    # quoted fields: voipsim never writes one, validate() forbids the names
+    ("scenario", '"a,b"'),
+    ("scenario", '"say ""hi"""'),
+    ("scenario", '"a\nb"'),
+    ("scenario", ""),
+    ("seed", "1.5"),
+    ("direction", "sideways"),
+    ("window_start_s", ""),
+    ("samples", "-5"),
+    ("jitter_s", "abc"),
+    ("e2e_s", "0.03"),
+    ("mos", "4.000000000 "),
+    ("delay_class", "Meh"),
+    ("jitter_class", "Fair"),
+], ids=["quoted-comma", "quoted-quote", "quoted-newline", "empty-scenario", "fractional-seed",
+        "sideways", "empty-window", "negative-samples", "jitter-abc", "short-decimal",
+        "trailing-space", "class-meh", "class-fair"])
+def test_compare_rejects_a_field_voipsim_never_writes(tmp_path, capsys, column, value):
+    import voipsim.cli as cli_mod
+
+    row = list(GOOD_ROW)
+    row[CSV_COLUMNS.index(column)] = value
+    path = tmp_path / "odd.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n", newline="")
+    with pytest.raises(IncompatibleRuns, match=r"odd\.csv: line 2"):
+        compare_runs([str(path)], "stacked", io.StringIO())
+    assert cli_mod.main(["compare", "--mode", "stacked", str(path)]) == cli_mod.EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
+def test_compare_reads_crlf_and_writes_lf(tmp_path):
+    lf = tmp_path / "lf.csv"
+    _fake_csv(str(lf), "demo", 1, [0, 10_000_000])
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    for path in (lf, crlf):
         out = io.StringIO()
-        compare_runs([str(tmp_path / "0.csv"), str(tmp_path / "1.csv")], mode, out)
-        lines = [line for line in out.getvalue().splitlines()
-                 if line and not line.startswith("#")]
-        assert list(csv.reader(lines)) == [list(CSV_COLUMNS)] + rows
+        compare_runs([str(path)], "overlaid", out)
+        assert out.getvalue() == lf.read_text()
+
+
+def test_compare_rejects_a_last_line_without_newline(tmp_path):
+    path = tmp_path / "cut.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(GOOD_ROW))
+    with pytest.raises(IncompatibleRuns, match=r"cut\.csv: line 2 has no newline"):
+        compare_runs([str(path)], "overlaid", io.StringIO())
 
 
 def test_compare_rejects_mismatched_grid(tmp_path):

@@ -191,6 +191,24 @@ def test_validation_rules():
         validate(mutate(calls=CallSpec(0, 1, "hawaii", "florida")))
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"name": "two words"}, "name must be a plain token"),
+    ({"name": "demo\n"}, "name must be a plain token"),
+    ({"subnets": ()}, "exactly 2 subnets required, got 0"),
+    ({"subnets": (SubnetSpec("a", WifiParams()),) * 3}, "exactly 2 subnets required, got 3"),
+    ({"subnets": (SubnetSpec("a b", WifiParams()), SubnetSpec("c", WifiParams()))},
+     "subnet name 'a b' must be a plain token"),
+    ({"subnets": (SubnetSpec("a\n", WifiParams()), SubnetSpec("c", WifiParams()))},
+     r"subnet name 'a\\n' must be a plain token"),
+], ids=["spaced-name", "name-newline", "no-subnets", "three-subnets", "spaced-subnet",
+        "subnet-newline"])
+def test_names_and_subnet_count_checked(change, message):
+    from dataclasses import replace
+
+    with pytest.raises(ValidationError, match=message):
+        validate(replace(builtin_scenario("wifi-wifi"), **change))
+
+
 @pytest.mark.parametrize("section, key, message", [
     ("cloud", "jitter_half_width_ms = -5", "jitter_half_width_ms must be >= 0"),
     ("calls", "inter_arrival_s = 0", "inter_arrival_s must be > 0"),

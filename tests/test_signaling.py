@@ -1,5 +1,10 @@
-"""Registration, the INVITE handshake, teardown, timeouts and violations."""
+"""Registration, the INVITE handshake, teardown and timeouts; the one
+discard rule for a message that arrives in a state that does not expect it,
+checked on every delivery plan; and the setup delay, bounded on random paths
+and exact on a deterministic one."""
 
+import itertools
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -162,7 +167,6 @@ def test_late_180_after_200_is_ignored(delays, state_at_late_180):
     session = layer.initiate("a", "b", on_established=lambda s: None,
                              on_closed=lambda s: None)
     sim.run_until(9_999)
-    assert session.answered
     assert session.state == state_at_late_180
     sim.run_until(seconds(1))
     assert session.state == ESTABLISHED
@@ -242,15 +246,21 @@ def test_teardown_before_establishment_rejected():
         layer.teardown(session)
 
 
-def test_replayed_invite_is_a_violation():
+def test_replayed_invite_is_discarded():
+    # the model sends each message once, so only a forged copy arrives in a
+    # state that does not expect it
     sim = Simulator()
     layer = make_layer(sim, ZeroFabric(sim))
+    closed = []
     session = layer.initiate("a", "b", on_established=lambda s: None,
-                             on_closed=lambda s: None)
+                             on_closed=closed.append)
     sim.run_until(seconds(1))
     assert session.state == ESTABLISHED
     layer._deliver(SipMessage(INVITE, session, "b"), sim.now)
-    assert session.state == CLOSED
+    sim.run_until(seconds(2))
+    assert session.state == ESTABLISHED
+    assert sim.stats.calls_failed_setup == 0
+    assert not closed
 
 
 def test_message_in_closed_session_is_ignored():
@@ -277,6 +287,77 @@ def test_every_session_closed_audit():
     layer.teardown(s1)
     sim.run_until(seconds(2))
     assert all(s.state == CLOSED for s in layer.sessions)
+
+
+# -- every delivery plan -------------------------------------------------------
+
+PLAN_ANSWER_US = 10_000
+PLAN_TIMER_US = seconds(2)
+PLAN_BYE_AFTER_US = 20_000  # teardown this long after establishment
+LOST = None
+PLAN_SENDS = 7
+# an INVITE whose first leg takes NEAR_TIMER_US reaches the callee half an
+# answer delay before the timer, so the timer closes the session while the
+# answer is pending
+NEAR_TIMER_US = PLAN_TIMER_US - PLAN_ANSWER_US // 2 - PROXY_PROC_US
+PLAN_DELAYS = (0, 40_000, NEAR_TIMER_US, seconds(5), LOST)
+
+
+class PlanFabric(ZeroFabric):
+    """Gives the n-th send the n-th delay of plan, or loses it; a send past
+    the end of the plan arrives at once."""
+
+    def __init__(self, sim, plan):
+        super().__init__(sim)
+        self.plan = plan
+        self.sends = 0
+
+    def send(self, item, size_bytes, src, dst, on_end, on_fail):
+        delay = self.plan[self.sends] if self.sends < len(self.plan) else 0
+        self.sends += 1
+        if delay is LOST:
+            self.sim.schedule(self.sim.now, lambda _: on_fail(item, "cloud-loss"))
+        else:
+            self.sim.schedule(self.sim.now + delay, self._arrive, (item, on_end))
+
+
+class CancelCountingSimulator(Simulator):
+    def __init__(self):
+        super().__init__()
+        self.cancelled = Counter()
+
+    def cancel(self, entry):
+        self.cancelled[entry[2]] += 1
+        return super().cancel(entry)
+
+
+def test_every_delivery_plan_closes_the_session_once():
+    # each of the first PLAN_SENDS legs (caller or callee to the proxy, or
+    # the proxy on) is delivered after one of PLAN_DELAYS or lost: 5^7 plans
+    # of reordered, late and lost INVITE, 180, 200, ACK, BYE and its 200
+    outcomes = Counter()
+    answers_cancelled = 0
+    for plan in itertools.product(PLAN_DELAYS, repeat=PLAN_SENDS):
+        sim = CancelCountingSimulator()
+        layer = make_layer(sim, PlanFabric(sim, plan), answer_delay_us=PLAN_ANSWER_US,
+                           invite_timeout_us=PLAN_TIMER_US)
+        established, closed = [], []
+
+        def on_established(session):
+            established.append(session)
+            sim.schedule(sim.now + PLAN_BYE_AFTER_US, layer.teardown, session)
+
+        session = layer.initiate("a", "b", on_established, closed.append)
+        sim.run_until(seconds(60))
+        assert session.state == CLOSED, plan
+        assert closed == [session], plan
+        assert sim.stats.calls_failed_setup + len(established) == 1, plan
+        assert sim.pending_count() == 0, plan
+        outcomes[len(established)] += 1
+        answers_cancelled += sim.cancelled["sip-answer"]
+    assert sum(outcomes.values()) == len(PLAN_DELAYS) ** PLAN_SENDS
+    assert outcomes[0] and outcomes[1]
+    assert answers_cancelled
 
 
 # -- the validated setup bound -------------------------------------------------
@@ -306,3 +387,40 @@ def test_no_session_sets_up_faster_than_the_validated_bound(spec):
               if s.t_established is not None]
     assert setups, "expected established sessions"
     assert min(setups) >= bound
+
+
+def test_setup_delay_is_exact_on_a_deterministic_path():
+    # error-free UMTS on both sides and a cloud that neither jitters nor
+    # loses: every SIP transit is TTI alignment plus fixed delays
+    # TTIs that divide none of the fixed delays, so a delay missed or counted
+    # twice moves the arrival across a TTI boundary
+    caller = UmtsParams(bler=0.0, tti_us=7_000)
+    callee = UmtsParams(bler=0.0, tti_us=3_000, cn_delay_us=17_000)
+    spec = validate(ScenarioSpec(
+        name="lone-pair",
+        subnets=(SubnetSpec("near", caller, 1), SubnetSpec("far", callee, 1)),
+        cloud=CloudSpec(base_delay_us=30_123, jitter_half_width_us=0, loss_prob=0.0),
+        calls=CallSpec(inter_arrival_us=seconds(4), duration_mean_us=seconds(3),
+                       caller_subnet="near", callee_subnet="far",
+                       answer_delay_us=1_234_567),
+        run_length_us=seconds(300),
+        warm_up_us=0,
+    ))
+    cloud_us = spec.cloud.base_delay_us
+
+    def air(t, p):
+        # a packet on an idle bearer waits for the next TTI boundary, then
+        # one TTI on the air
+        return t + (-t) % p.tti_us + p.tti_us
+
+    def transit(t, src, dst):
+        at_proxy = air(t, src) + src.pipe_us + cloud_us
+        return air(at_proxy + PROXY_PROC_US + cloud_us + dst.pipe_us, dst)
+
+    sessions = [s for s in run_scenario(spec).session_layer.sessions
+                if s.t_established is not None]
+    assert len(sessions) >= 20
+    for s in sessions:
+        invite_in = transit(s.t_invite, caller, callee)
+        ok_in = transit(invite_in + spec.calls.answer_delay_us, callee, caller)
+        assert s.t_established == transit(ok_in, caller, callee)

@@ -197,6 +197,26 @@ def test_same_instant_fault_leaves_the_rest_queued_in_order():
     assert sim.stats.events_processed == 5
 
 
+def test_fault_before_a_lone_same_instant_event_requeues_it():
+    # nothing was scheduled for the faulted instant during its walk, so the
+    # unwalked rest goes back under a fresh heap key
+    sim = Simulator()
+    fired = []
+
+    def boom(_):
+        raise ValueError("broken handler")
+
+    sim.schedule(10, boom)
+    sim.schedule(10, fired.append, "second")
+    with pytest.raises(EventHandlerFault):
+        sim.run_until(100)
+    assert fired == []
+    assert sim.pending_count() == 1
+    sim.run_until(100)
+    assert fired == ["second"]
+    assert sim.pending_count() == 0
+
+
 def test_one_heap_key_per_instant(monkeypatch):
     pushed = []
 
